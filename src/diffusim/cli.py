@@ -345,10 +345,13 @@ def cmd_reproduce(parser, args) -> int:
     if args.from_manifest:
         manifest = json.loads(Path(args.from_manifest).read_text(
             encoding="utf-8"))
-        figure = manifest["figure"]
-        seed = int(manifest["seed"])
+        if not isinstance(manifest, dict):
+            raise ValueError("manifest must be a JSON object")
+        figure, seed = manifest.get("figure"), manifest.get("seed")
         if figure not in FIGURES:
             raise ValueError(f"manifest names unknown figure {figure!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"manifest seed must be an integer, got {seed!r}")
     else:
         if args.figure is None:
             parser.error("--figure is required (or --from-manifest)")

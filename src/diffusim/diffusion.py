@@ -27,6 +27,17 @@ Consumption order is pinned so trajectories are reproducible anywhere:
 3. random-contact draws one uniform per acting vertex (ascending) for
    target selection, then one uniform per acting vertex (ascending) for
    the success check.
+
+For random-contact, :func:`run` draws uniforms in blocks and consumes
+them by cursor. ``Generator.random`` spends exactly one 64-bit word of the
+stream per double, so ``random(a)`` followed by ``random(b)`` returns the
+same values as ``random(a + b)``: drawing ahead changes no value that any
+loop sees. Since the acting set cannot change until someone new is
+informed, a block of loops is evaluated at once; only the first informing
+loop is applied, and the uniforms of the loops after it stay buffered for
+the next block. Broadcast gathers a loop's attempts from the CSR adjacency
+in one pass, in the pinned order. Every trajectory of :func:`run` equals
+the one that repeated :func:`step` calls produce on the same stream.
 """
 
 from __future__ import annotations
@@ -38,6 +49,13 @@ import numpy as np
 
 from .generators import make_rng
 from .graph import Graph
+
+# Largest n for which random-contact looks weights up in a dense n x n
+# matrix (8 n^2 bytes, built once per run) instead of Graph.pair_weights.
+DENSE_LOOKUP_MAX_N = 512
+# Most uniforms one random-contact block evaluates; bounds the block's
+# temporaries to a few hundred kB.
+BLOCK_UNIFORMS = 1 << 14
 
 __all__ = [
     "ContactModel",
@@ -108,6 +126,24 @@ class DiffusionState:
         return m
 
 
+def _initial_mask(g: Graph, cfg: SimulationConfig,
+                  rng: np.random.Generator | None) -> np.ndarray:
+    if not 1 <= cfg.initial_informed <= g.n:
+        raise ValueError(
+            f"initial_informed must be in [1, {g.n}], got {cfg.initial_informed}")
+    mask = np.zeros(g.n, dtype=bool)
+    if cfg.initial_vertices is not None:
+        verts = cfg.initial_vertices
+        if any(not 0 <= v < g.n for v in verts):
+            raise ValueError("initial vertex id outside [0, n)")
+        mask[list(verts)] = True
+    else:
+        if rng is None:
+            rng = make_rng(cfg.seed)
+        mask[rng.choice(g.n, size=cfg.initial_informed, replace=False)] = True
+    return mask
+
+
 def init_state(g: Graph, cfg: SimulationConfig,
                rng: np.random.Generator | None = None) -> DiffusionState:
     """Draw the initial informed set and return the loop-0 state.
@@ -116,70 +152,59 @@ def init_state(g: Graph, cfg: SimulationConfig,
     :func:`run` passes its own stream so that the initial draw and the
     subsequent per-loop draws share one seed.
     """
-    if not 1 <= cfg.initial_informed <= g.n:
-        raise ValueError(
-            f"initial_informed must be in [1, {g.n}], got {cfg.initial_informed}")
-    if cfg.initial_vertices is not None:
-        verts = cfg.initial_vertices
-        if any(not 0 <= v < g.n for v in verts):
-            raise ValueError("initial vertex id outside [0, n)")
-        chosen = np.array(sorted(verts), dtype=np.int64)
-    else:
-        if rng is None:
-            rng = make_rng(cfg.seed)
-        chosen = rng.choice(g.n, size=cfg.initial_informed, replace=False)
-    mask = np.zeros(g.n, dtype=bool)
-    mask[chosen] = True
-    return DiffusionState(frozenset(int(v) for v in chosen), 0, mask)
+    mask = _initial_mask(g, cfg, rng)
+    return DiffusionState(frozenset(np.flatnonzero(mask).tolist()), 0, mask)
 
 
-def _step_broadcast(g: Graph, mask: np.ndarray,
-                    rng: np.random.Generator) -> np.ndarray:
+def _open_edges(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and weights of every edge from an informed to an uninformed
+    vertex, in broadcast draw order (source asc, then target asc)."""
     indptr, nbr, nbrw = g._adj()
-    new_mask = mask.copy()
-    for i in np.nonzero(mask)[0].tolist():
-        lo, hi = indptr[i], indptr[i + 1]
-        nbrs = nbr[lo:hi]
-        open_targets = ~mask[nbrs]
-        m = int(np.count_nonzero(open_targets))
-        if m == 0:
-            continue
-        coins = rng.random(m)
-        hit = coins < nbrw[lo:hi][open_targets]
-        new_mask[nbrs[open_targets][hit]] = True
-    return new_mask
+    src = np.flatnonzero(mask)
+    starts = indptr[src]
+    lens = indptr[src + 1] - starts
+    # CSR positions of the sources' rows, concatenated in source order
+    edge = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens),
+                                             lens)
+    targets = nbr[edge]
+    is_open = ~mask[targets]
+    return targets[is_open], nbrw[edge[is_open]]
 
 
-def _step_random_contact(g: Graph, mask: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-    new_mask = mask.copy()
-    if g.n < 2:
-        return new_mask
-    informed = np.nonzero(mask)[0]
-    act = informed[g.degrees()[informed] > 0]
-    if act.size == 0:
-        return new_mask
-    picks = rng.random(act.size)
-    targets = (picks * (g.n - 1)).astype(np.int64)
+def _contacts(n: int, act: np.ndarray, u: np.ndarray,
+              weight) -> tuple[np.ndarray, np.ndarray]:
+    """Targets of actors ``act`` over a block of loops, and which contacts
+    inform someone new.
+
+    ``u`` holds the loops' uniforms as (loops, 2, actors): the pick row,
+    then the coin row, as one loop draws them. ``weight(us, vs)`` is the
+    weight of edge {u, v} while v is uninformed, else 0.
+    """
+    targets = (u[:, 0] * (n - 1)).astype(np.int64)
     targets += targets >= act
-    coins = rng.random(act.size)
-    weights = g.pair_weights(act, targets)
-    hit = coins < weights
-    new_mask[targets[hit]] = True
-    return new_mask
+    return targets, u[:, 1] < weight(act, targets)
+
+
+def _weights_to_uninformed(g: Graph, mask: np.ndarray):
+    return lambda us, vs: np.where(mask[vs], 0.0, g.pair_weights(us, vs))
 
 
 def step(g: Graph, state: DiffusionState, model: ContactModel,
          rng: np.random.Generator) -> DiffusionState:
     """Advance one loop; the informed set can only grow."""
     mask = state.mask(g.n)
-    if isinstance(model, str):
-        model = ContactModel(model)
-    if model is ContactModel.BROADCAST:
-        new_mask = _step_broadcast(g, mask, rng)
+    new_mask = mask.copy()
+    if ContactModel(model) is ContactModel.BROADCAST:
+        targets, weights = _open_edges(g, mask)
+        new_mask[targets[rng.random(targets.size) < weights]] = True
     else:
-        new_mask = _step_random_contact(g, mask, rng)
-    informed = frozenset(np.nonzero(new_mask)[0].tolist())
+        act = np.flatnonzero(mask & (g.degrees() > 0))
+        if act.size:
+            u = rng.random(2 * act.size).reshape(1, 2, act.size)
+            targets, hit = _contacts(g.n, act, u,
+                                     _weights_to_uninformed(g, mask))
+            new_mask[targets[hit]] = True
+    informed = frozenset(np.flatnonzero(new_mask).tolist())
     return DiffusionState(informed, state.loop + 1, new_mask)
 
 
@@ -215,11 +240,85 @@ class TrajectoryRecord:
 
 
 def run(g: Graph, cfg: SimulationConfig) -> TrajectoryRecord:
-    """Apply :func:`step` until saturation or the loop budget runs out."""
+    """Loop until saturation or the loop budget runs out.
+
+    The trajectory equals that of repeated :func:`step` calls on one
+    stream; see the module docstring for how loops are batched.
+    """
     rng = make_rng(cfg.seed)
-    state = init_state(g, cfg, rng)
-    counts = [len(state.informed)]
-    while counts[-1] < g.n and state.loop < cfg.max_loops:
-        state = step(g, state, cfg.model, rng)
-        counts.append(len(state.informed))
+    mask = _initial_mask(g, cfg, rng)
+    counts = [int(np.count_nonzero(mask))]
+    if cfg.model is ContactModel.BROADCAST:
+        _spread_broadcast(g, mask, counts, cfg.max_loops, rng)
+    else:
+        _spread_random_contact(g, mask, counts, cfg.max_loops, rng)
     return TrajectoryRecord(g.n, counts)
+
+
+def _spread_broadcast(g: Graph, mask: np.ndarray, counts: list[int],
+                      max_loops: int, rng: np.random.Generator) -> None:
+    while counts[-1] < g.n and len(counts) <= max_loops:
+        targets, weights = _open_edges(g, mask)
+        if targets.size == 0:
+            # nothing to attempt: no draws, and no loop changes anything
+            counts.extend([counts[-1]] * (max_loops + 1 - len(counts)))
+            return
+        mask[targets[rng.random(targets.size) < weights]] = True
+        counts.append(int(np.count_nonzero(mask)))
+
+
+def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
+                           max_loops: int,
+                           rng: np.random.Generator) -> None:
+    n = g.n
+    if n <= DENSE_LOOKUP_MAX_N:
+        eu, ev, ew = g.edge_arrays()
+        has_edge = np.zeros(n, dtype=bool)
+        has_edge[eu] = has_edge[ev] = True
+        # weights of contacts that can still inform someone: a vertex's
+        # column is zeroed once it is informed
+        live = np.zeros((n, n))
+        live[eu, ev] = live[ev, eu] = ew
+        live[:, mask] = 0.0
+        flat = live.ravel()
+        weight = lambda us, vs: flat[us * n + vs]  # noqa: E731
+    else:
+        has_edge = g.degrees() > 0
+        live = np.zeros((0, n))  # zeroing its columns does nothing
+        weight = _weights_to_uninformed(g, mask)
+    buf, pos = np.empty(0), 0  # drawn uniforms; buf[pos:] not yet consumed
+    block = 1  # loops evaluated at once
+    act = None  # vertices that act, fixed until someone new is informed
+    while counts[-1] < n and len(counts) <= max_loops:
+        if act is None:
+            act = np.flatnonzero(mask & has_edge)
+            if act.size == 0:
+                # nobody can act: no draws, and no loop changes anything
+                counts.extend([counts[-1]] * (max_loops + 1 - len(counts)))
+                return
+        a = act.size
+        block = min(block, max_loops + 1 - len(counts),
+                    max(1, BLOCK_UNIFORMS // (2 * a)))
+        need = 2 * a * block
+        if buf.size - pos < need:
+            buf = np.concatenate((buf[pos:],
+                                  rng.random(need - (buf.size - pos))))
+            pos = 0
+        targets, hit = _contacts(
+            n, act, buf[pos:pos + need].reshape(block, 2, a), weight)
+        first = int(hit.argmax())
+        if not hit.flat[first]:
+            counts.extend([counts[-1]] * block)
+            pos += need
+            block *= 2
+            continue
+        # apply the first informing loop only; later loops saw a stale set
+        quiet = first // a
+        counts.extend([counts[-1]] * quiet)
+        newly = targets[quiet][hit[quiet]]
+        mask[newly] = True
+        live[:, newly] = 0.0
+        counts.append(int(np.count_nonzero(mask)))
+        pos += 2 * a * (quiet + 1)
+        block = max(1, 2 * quiet)
+        act = None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import SimulationConfig, TrajectoryRecord, run
+from .diffusion import SimulationConfig, run
 from .generators import GeneratorSpec
 from .graph import Graph
 
@@ -161,6 +161,11 @@ class EnsembleSummary:
         }
 
 
+def _first_loops(reached: np.ndarray) -> np.ndarray:
+    """Per row, the first loop at which ``reached`` holds, else -1."""
+    return np.where(reached.any(axis=1), reached.argmax(axis=1), -1)
+
+
 def _aggregate(n: int, trajectories: list[list[int]]) -> EnsembleSummary:
     reps = len(trajectories)
     horizon = max(len(t) for t in trajectories) - 1
@@ -176,17 +181,8 @@ def _aggregate(n: int, trajectories: list[list[int]]) -> EnsembleSummary:
     sd = np.sqrt(var)
     srt = np.sort(arr, axis=0)
 
-    sat_times = np.full(reps, -1, dtype=np.int64)
-    thr_times = np.full(reps, -1, dtype=np.int64)
-    thr_count = math.ceil(THRESHOLD_FRACTION * n)
-    for i, t in enumerate(trajectories):
-        rec = TrajectoryRecord(n, t)
-        sat = rec.saturation_loop()
-        thr = rec.first_loop_reaching(thr_count)
-        if sat is not None:
-            sat_times[i] = sat
-        if thr is not None:
-            thr_times[i] = thr
+    sat_times = _first_loops(arr == n)
+    thr_times = _first_loops(arr >= math.ceil(THRESHOLD_FRACTION * n))
 
     return EnsembleSummary(
         n=n,

@@ -65,7 +65,8 @@ class Graph:
             if (eu == ev).any():
                 bad = int(eu[eu == ev][0])
                 raise ValueError(f"self-loop on vertex {bad} not allowed")
-            if ew.min() < 0.0 or ew.max() > 1.0:
+            # written so that NaN, which fails every comparison, is rejected
+            if not ((ew >= 0.0) & (ew <= 1.0)).all():
                 raise ValueError("edge weights must lie in [0, 1]")
 
         # canonical order: u < v, then lexicographic

@@ -227,6 +227,22 @@ def test_reproduce_unknown_figure_exit_2(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("manifest", [
+    {"figure": "power-law"},
+    {"seed": 3},
+    {"figure": "power-law", "seed": 1.5},
+    {"figure": "power-law", "seed": "3"},
+    {"figure": "nonsense", "seed": 3},
+    [1, 2],
+])
+def test_reproduce_bad_manifest_exit_1(tmp_path, capsys, manifest):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    assert run_cli(["reproduce", "--from-manifest", str(path),
+                    "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_reproduce_power_law_bundle_and_manifest(tmp_path, capsys):
     out1 = tmp_path / "a"
     assert run_cli(["reproduce", "--figure", "power-law", "--seed", "11",

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import hashlib
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffusim import (
     ContactModel,
@@ -309,3 +315,93 @@ def test_trajectory_csv_format():
     assert rec.to_csv() == "loop,informed_count\n0,1\n1,3\n"
     assert rec.first_loop_reaching(3) == 1
     assert rec.first_loop_reaching(4) is None
+
+
+# --- stream contract: golden digests and properties ---------------------------
+# The digests in run_digests.json were recorded from the loop-by-loop
+# engine that called step once per loop. Any mismatch means a trajectory
+# changed for a given seed, which breaks the reproducibility contract.
+
+DIGESTS_PATH = Path(__file__).with_name("run_digests.json")
+GOLDEN_FAMILIES = {
+    "complete": lambda n, seed: gen_complete(n),
+    "random": lambda n, seed: gen_random(n, 0.1, seed=seed),
+    "stochastic": lambda n, seed: gen_stochastic(n, seed=seed),
+    "scale-free": lambda n, seed: gen_scale_free(n, seed=seed),
+}
+GOLDEN_CASES = [
+    (family, model, n, k, seed)
+    for family in GOLDEN_FAMILIES
+    for model in ("broadcast", "random-contact")
+    for n in (1, 2, 50, 300, 600)
+    for k in sorted({1, min(5, n)})
+    for seed in (0, 1)
+]
+GOLDEN_MAX_LOOPS = 5000
+
+
+def counts_digest(counts) -> str:
+    return hashlib.sha256(
+        np.asarray(counts, dtype=np.int64).tobytes()).hexdigest()
+
+
+def golden_counts(family, model, n, k, seed):
+    g = GOLDEN_FAMILIES[family](n, seed)
+    return run(g, SimulationConfig(model, k, GOLDEN_MAX_LOOPS,
+                                   seed=seed + 100)).counts
+
+
+def golden_id(case) -> str:
+    family, model, n, k, seed = case
+    return f"{family}-{model}-n{n}-k{k}-s{seed}"
+
+
+@pytest.mark.parametrize("case", GOLDEN_CASES, ids=golden_id)
+def test_run_matches_recorded_digest(case):
+    want = json.loads(DIGESTS_PATH.read_text())[golden_id(case)]
+    assert counts_digest(golden_counts(*case)) == want
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Small graphs with isolated vertices and zero-weight edges."""
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) \
+        if pairs else []
+    weight = st.one_of(st.just(0.0), st.just(1.0),
+                       st.floats(0.0, 1.0, allow_nan=False))
+    return Graph(n, [(i, j, draw(weight)) for i, j in chosen])
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=weighted_graphs(), data=st.data(),
+       model=st.sampled_from(["broadcast", "random-contact"]),
+       max_loops=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_run_matches_reference_property(g, data, model, max_loops, seed):
+    k = data.draw(st.integers(1, g.n))
+    pinned = data.draw(st.booleans())
+    verts = (tuple(data.draw(st.permutations(range(g.n)))[:k])
+             if pinned else None)
+    cfg = SimulationConfig(model, k, max_loops, seed=seed,
+                           initial_vertices=verts)
+    assert run(g, cfg).counts == ref_run(g, model, k, max_loops, seed,
+                                         initial_vertices=verts)
+
+
+@pytest.mark.parametrize("model", list(ContactModel))
+def test_repeated_step_reproduces_run(model):
+    # the last graph is sparse, past the dense weight lookup's size limit
+    graphs = [gen_scale_free(40, seed=3), gen_stochastic(30, seed=4),
+              Graph(6, [(0, 1, 0.5), (1, 2, 0.0)]),
+              gen_random(600, 0.004, seed=2)]
+    for g in graphs:
+        for seed in range(5):
+            cfg = SimulationConfig(model, 1 + seed % 3, 400, seed=seed)
+            rng = np.random.default_rng(seed)
+            s = init_state(g, cfg, rng)
+            counts = [len(s.informed)]
+            while counts[-1] < g.n and s.loop < cfg.max_loops:
+                s = step(g, s, model, rng)
+                counts.append(len(s.informed))
+            assert counts == run(g, cfg).counts, (g, seed)

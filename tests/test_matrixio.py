@@ -101,6 +101,13 @@ def test_import_rejects_out_of_range():
         import_matrix("0 1.5\n1.5 0\n")
 
 
+def test_import_rejects_nan_entries():
+    with pytest.raises(MatrixFormatError, match="outside"):
+        import_matrix("0 nan\nnan 0\n")
+    with pytest.raises(MatrixFormatError, match="outside"):
+        import_matrix("nan 0.5\n0.5 0\n")
+
+
 def test_import_rejects_non_numeric():
     with pytest.raises(MatrixFormatError, match="non-numeric"):
         import_matrix("0 x\nx 0\n")
@@ -133,3 +140,8 @@ def test_json_rejects_malformed():
         graph_from_json('{"edges": []}')
     with pytest.raises(MatrixFormatError):
         graph_from_json('{"n": 2, "edges": [[0, 0, 1.0]]}')
+
+
+def test_json_rejects_nan_weight():
+    with pytest.raises(MatrixFormatError, match="weights"):
+        graph_from_json('{"n": 2, "edges": [[0, 1, NaN]]}')
