@@ -71,17 +71,15 @@ def test_pair_weights_vectorized():
     ([(0, 1, -0.1)], "weights"),
     ([(0, 3, 1.0)], "outside"),
     ([(0, 1, 1.0), (1, 0, 0.5)], "duplicate"),
-    ([(0, 1, float("nan"))], "weights"),
 ])
 def test_construction_rejects_invalid_edges(edges, msg):
     with pytest.raises(ValueError, match=msg):
         Graph(3, edges)
 
 
-def test_construction_rejects_nan_weight_arrays():
-    arrays = (np.array([0, 1]), np.array([1, 2]), np.array([0.5, np.nan]))
+def test_construction_rejects_nan_weight():
     with pytest.raises(ValueError, match="weights"):
-        Graph(3, arrays)
+        Graph(3, [(0, 1, float("nan"))])
 
 
 def test_symmetry_and_bounds_hold_for_generated_graphs():
