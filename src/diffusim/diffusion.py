@@ -50,9 +50,6 @@ import numpy as np
 from .generators import make_rng
 from .graph import Graph
 
-# Largest n for which random-contact looks weights up in a dense n x n
-# matrix (8 n^2 bytes, built once per run) instead of Graph.pair_weights.
-DENSE_LOOKUP_MAX_N = 512
 # Most uniforms one random-contact block evaluates; bounds the block's
 # temporaries to a few hundred kB.
 BLOCK_UNIFORMS = 1 << 14
@@ -271,21 +268,8 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                            max_loops: int,
                            rng: np.random.Generator) -> None:
     n = g.n
-    if n <= DENSE_LOOKUP_MAX_N:
-        eu, ev, ew = g.edge_arrays()
-        has_edge = np.zeros(n, dtype=bool)
-        has_edge[eu] = has_edge[ev] = True
-        # weights of contacts that can still inform someone: a vertex's
-        # column is zeroed once it is informed
-        live = np.zeros((n, n))
-        live[eu, ev] = live[ev, eu] = ew
-        live[:, mask] = 0.0
-        flat = live.ravel()
-        weight = lambda us, vs: flat[us * n + vs]  # noqa: E731
-    else:
-        has_edge = g.degrees() > 0
-        live = np.zeros((0, n))  # zeroing its columns does nothing
-        weight = _weights_to_uninformed(g, mask)
+    has_edge = g.degrees() > 0
+    weight = _weights_to_uninformed(g, mask)
     buf, pos = np.empty(0), 0  # drawn uniforms; buf[pos:] not yet consumed
     block = 1  # loops evaluated at once
     act = None  # vertices that act, fixed until someone new is informed
@@ -317,7 +301,6 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
         counts.extend([counts[-1]] * quiet)
         newly = targets[quiet][hit[quiet]]
         mask[newly] = True
-        live[:, newly] = 0.0
         counts.append(int(np.count_nonzero(mask)))
         pos += 2 * a * (quiet + 1)
         block = max(1, 2 * quiet)

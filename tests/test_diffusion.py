@@ -391,7 +391,7 @@ def test_run_matches_reference_property(g, data, model, max_loops, seed):
 
 @pytest.mark.parametrize("model", list(ContactModel))
 def test_repeated_step_reproduces_run(model):
-    # the last graph is sparse, past the dense weight lookup's size limit
+    # the last graph is large and sparse: many quiet loops per block
     graphs = [gen_scale_free(40, seed=3), gen_stochastic(30, seed=4),
               Graph(6, [(0, 1, 0.5), (1, 2, 0.0)]),
               gen_random(600, 0.004, seed=2)]
