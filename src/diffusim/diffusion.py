@@ -50,9 +50,12 @@ import numpy as np
 from .generators import make_rng
 from .graph import Graph
 
-# Most uniforms one random-contact block evaluates; bounds the block's
-# temporaries to a few hundred kB.
-BLOCK_UNIFORMS = 1 << 14
+# Most uniforms one random-contact block evaluates: the buffer stays at
+# 64 kB and each per-contact temporary at 32 kB. With twice the cap, the
+# largest blocks lift the heap top past malloc's trim threshold, so they
+# hand pages back to the kernel and fault them in again: thousands of
+# minor faults per benchmark pass, a count that varies between processes.
+BLOCK_UNIFORMS = 1 << 13
 
 __all__ = [
     "ContactModel",
