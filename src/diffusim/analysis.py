@@ -13,8 +13,16 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .generators import GeneratorSpec
-from .graph import Graph, bfs_distances, connected_components, \
+from .graph import Graph, _bfs_levels, connected_components, \
     mean_offdiagonal_weight
+
+# Most (source, vertex) keys plus CSR entries one path-length chunk covers.
+# A chunk of k sources holds a k * n seen array and, at its widest level,
+# up to k * 2E gathered neighbours, so k = PATH_CHUNK_CELLS // (n + 2E)
+# keeps each of its int64 arrays at 4 MB or less (a single source may
+# need more). More sources per chunk means fewer levels of per-call
+# overhead, not less work.
+PATH_CHUNK_CELLS = 1 << 19
 
 __all__ = [
     "PowerLawFit",
@@ -84,17 +92,16 @@ def clustering_coefficient(g: Graph) -> float:
     """
     if g.n < 1:
         raise ValueError("clustering needs at least one vertex")
-    neighbor_sets = [set() for _ in range(g.n)]
-    for u, v, _w in g.edges():
-        neighbor_sets[u].add(v)
-        neighbor_sets[v].add(u)
+    indptr, nbr, _ = g._adj()
+    marked = np.zeros(g.n, dtype=bool)
     total = 0.0
-    for v in range(g.n):
-        nbrs = neighbor_sets[v]
-        d = len(nbrs)
-        if d < 2:
-            continue
-        links = sum(len(neighbor_sets[u] & nbrs) for u in nbrs) // 2
+    for v in np.flatnonzero(g.degrees() >= 2).tolist():
+        row = nbr[indptr[v]:indptr[v + 1]]
+        d = row.size
+        marked[row] = True
+        # each link among the neighbours is seen from both of its ends
+        links = int(np.count_nonzero(marked[nbr[g._gather(row)]])) // 2
+        marked[row] = False
         total += links / (d * (d - 1) / 2)
     return total / g.n
 
@@ -121,10 +128,15 @@ def characteristic_path_length(g: Graph) -> PathLengthResult:
     m = members.size
     if m < 2:
         return PathLengthResult(float("nan"), connected, int(m))
+    n = g.n
+    chunk = max(1, PATH_CHUNK_CELLS // (n + 2 * g.edge_count))
     total = 0
-    for s in members.tolist():
-        dist = bfs_distances(g, s)
-        total += int(dist[members].sum())
+    for first in range(0, m, chunk):
+        sources = members[first:first + chunk]
+        claim = np.full(sources.size * n, -1, dtype=np.int64)
+        keys = np.arange(sources.size) * n + sources
+        for level, reached in enumerate(_bfs_levels(g, claim, keys), 1):
+            total += level * reached.size
     pairs = m * (m - 1)  # ordered; symmetric sum counts each pair twice
     return PathLengthResult(total / pairs, connected, int(m))
 

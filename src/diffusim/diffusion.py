@@ -159,13 +159,8 @@ def init_state(g: Graph, cfg: SimulationConfig,
 def _open_edges(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Targets and weights of every edge from an informed to an uninformed
     vertex, in broadcast draw order (source asc, then target asc)."""
-    indptr, nbr, nbrw = g._adj()
-    src = np.flatnonzero(mask)
-    starts = indptr[src]
-    lens = indptr[src + 1] - starts
-    # CSR positions of the sources' rows, concatenated in source order
-    edge = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens),
-                                             lens)
+    _, nbr, nbrw = g._adj()
+    edge = g._gather(np.flatnonzero(mask))
     targets = nbr[edge]
     is_open = ~mask[targets]
     return targets[is_open], nbrw[edge[is_open]]

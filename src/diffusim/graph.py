@@ -7,7 +7,10 @@ between concurrent simulation runs.
 
 Storage is edge-array based with a lazily built CSR adjacency, so
 construction from bulk numpy arrays is cheap and neighbor iteration is
-O(degree).
+O(degree). ``Graph._gather`` turns a batch of vertices into the CSR
+positions of all their rows at once; breadth-first search, clustering and
+broadcast diffusion expand whole frontiers with it instead of slicing one
+row per vertex.
 """
 
 from __future__ import annotations
@@ -69,15 +72,19 @@ class Graph:
             if not ((ew >= 0.0) & (ew <= 1.0)).all():
                 raise ValueError("edge weights must lie in [0, 1]")
 
-        # canonical order: u < v, then lexicographic
+        # canonical order: u < v, then lexicographic. Input that already
+        # strictly increases in that order has no duplicate and skips the
+        # sort. Pairs are compared as (lo, hi), not as keys lo * n + hi,
+        # which overflow int64 once n passes 3e9.
         lo = np.minimum(eu, ev)
         hi = np.maximum(eu, ev)
-        order = np.lexsort((hi, lo))
-        lo, hi, ew = lo[order], hi[order], ew[order]
-        if lo.size:
-            keys = lo * n + hi
-            if (np.diff(keys) == 0).any():
-                i = int(np.nonzero(np.diff(keys) == 0)[0][0])
+        step_lo = np.diff(lo)
+        if not ((step_lo > 0) | ((step_lo == 0) & (np.diff(hi) > 0))).all():
+            order = np.lexsort((hi, lo))
+            lo, hi, ew = lo[order], hi[order], ew[order]
+            dup = np.flatnonzero((np.diff(lo) == 0) & (np.diff(hi) == 0))
+            if dup.size:
+                i = int(dup[0])
                 raise ValueError(
                     f"duplicate edge {{{int(lo[i])}, {int(hi[i])}}}")
         self._eu, self._ev, self._ew = lo, hi, ew
@@ -122,6 +129,18 @@ class Graph:
         if self._indptr is None:
             self._build_adjacency()
         return self._indptr, self._nbr, self._nbrw
+
+    def _gather(self, rows: np.ndarray) -> np.ndarray:
+        """CSR positions of the rows of vertices ``rows``, concatenated in
+        the order of ``rows``; index ``_adj()``'s neighbor and weight
+        arrays with them."""
+        # ndarray methods, not np.* wrappers: a deep BFS gathers once per
+        # level, often for a single row, so call overhead is its cost
+        indptr = self._adj()[0]
+        lens = self._degrees[rows]
+        ends = lens.cumsum()
+        return np.arange(ends[-1] if ends.size else 0) + \
+            (indptr[rows] - ends + lens).repeat(lens)
 
     # -- queries --------------------------------------------------------------
 
@@ -224,41 +243,60 @@ def mean_offdiagonal_weight(g: Graph) -> float:
     return 2.0 * float(w.sum()) / (g.n * (g.n - 1))
 
 
+def _bfs_levels(g: Graph, claim: np.ndarray, keys: np.ndarray):
+    """Breadth-first search over flat ``(row, vertex)`` keys.
+
+    A key is ``row * g.n + vertex``: each row is a search of its own with
+    its own seen set, and all rows advance one level per step. ``claim``
+    is the flat seen array, one cell per key; cells >= 0 are seen, so it
+    starts at -1 wherever the search may go. Starting from ``keys``, which
+    are marked seen, yields the keys each level reaches first, each key
+    once: level 1, level 2, ... and finally an empty array.
+    """
+    n = g.n
+    nbr = g._adj()[1]
+    deg = g.degrees()
+    claim[keys] = 0
+    while keys.size:
+        v = keys % n
+        nxt = nbr[g._gather(v)] + (keys - v).repeat(deg[v])
+        nxt = nxt[claim[nxt] < 0]
+        # duplicates all write their position; exactly one of them then
+        # reads its own back
+        idx = np.arange(nxt.size)
+        claim[nxt] = idx
+        keys = nxt[claim[nxt] == idx]
+        yield keys
+
+
 def bfs_distances(g: Graph, source: int) -> np.ndarray:
     """Hop distance from source to every vertex; -1 where unreachable.
 
     Edge weights are ignored: every stored edge counts as one hop.
     """
     source = g._check_vertex(source)
-    indptr, nbr, _ = g._adj()
     dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        chunks = [nbr[indptr[v]:indptr[v + 1]] for v in frontier.tolist()]
-        if not chunks:
-            break
-        nxt = np.unique(np.concatenate(chunks)) if chunks else frontier[:0]
-        nxt = nxt[dist[nxt] < 0]
-        d += 1
-        dist[nxt] = d
-        frontier = nxt
+    for d, level in enumerate(
+            _bfs_levels(g, dist, np.array([source], dtype=np.int64)), 1):
+        dist[level] = d
     return dist
 
 
 def connected_components(g: Graph) -> list[np.ndarray]:
     """Vertex sets of the connected components, largest first."""
-    seen = np.zeros(g.n, dtype=bool)
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
+    deg = g.degrees()
+    isolated = np.flatnonzero(deg == 0)
+    comps = list(isolated[:, None])
+    claim = np.full(g.n, -1, dtype=np.int64)
+    claim[isolated] = 0
+    for s in np.flatnonzero(deg).tolist():
+        if claim[s] >= 0:
             continue
-        dist = bfs_distances(g, s)
-        members = np.nonzero(dist >= 0)[0]
-        seen[members] = True
+        start = np.array([s], dtype=np.int64)
+        members = np.concatenate([start, *_bfs_levels(g, claim, start)])
+        members.sort()
         comps.append(members)
-    comps.sort(key=lambda m: (-m.size, int(m[0]) if m.size else 0))
+    comps.sort(key=lambda m: (-m.size, int(m[0])))
     return comps
 
 

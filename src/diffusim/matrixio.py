@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .graph import Graph
 
 __all__ = [
@@ -40,14 +42,18 @@ class MatrixFormatError(ValueError):
 
 def export_link_matrix(g: Graph) -> str:
     """Render g as a 0/1 link matrix; requires every weight to be 1.0."""
-    _, _, w = g.edge_arrays()
+    u, v, w = g.edge_arrays()
     if w.size and not (w == 1.0).all():
         raise ValueError("link matrix requires all edge weights exactly 1.0")
-    rows = [["0"] * g.n for _ in range(g.n)]
-    for u, v, _weight in g.edges():
-        rows[u][v] = "1"
-        rows[v][u] = "1"
-    return "\n".join(" ".join(r) for r in rows) + "\n"
+    if g.n == 0:
+        return "\n"
+    # row i is "c c ... c\n": cell j at column 2j, a space or newline after
+    cells = np.full((g.n, 2 * g.n), b" ", dtype="S1")
+    cells[:, 0::2] = b"0"
+    cells[:, -1] = b"\n"
+    cells[u, 2 * v] = b"1"
+    cells[v, 2 * u] = b"1"
+    return cells.tobytes().decode()
 
 
 def export_probability_matrix(g: Graph) -> str:
@@ -74,42 +80,54 @@ def import_matrix(text: str) -> Graph:
         if not parts:
             continue
         try:
-            rows.append([float(p) for p in parts])
+            # float() semantics per entry, as numpy converts str objects
+            rows.append(np.array(parts, dtype=np.float64))
         except ValueError as exc:
             raise MatrixFormatError(f"row {lineno}: non-numeric entry") from exc
     n = len(rows)
     if n == 0:
         raise MatrixFormatError("empty matrix text")
     for i, row in enumerate(rows):
-        if len(row) != n:
+        if row.size != n:
             raise MatrixFormatError(
-                f"row {i}: {len(row)} entries, expected {n} (matrix not square)")
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = rows[i][j], rows[j][i]
-            if not (0.0 <= a <= 1.0):
-                raise MatrixFormatError(
-                    f"entry ({i}, {j}) = {a} outside [0, 1]")
-            if not (0.0 <= b <= 1.0):
-                raise MatrixFormatError(
-                    f"entry ({j}, {i}) = {b} outside [0, 1]")
-            if abs(a - b) > SYMMETRY_TOL:
-                raise MatrixFormatError(
-                    f"asymmetric entries ({i}, {j}) = {a} vs ({j}, {i}) = {b}")
-            if a > 0.0:
-                edges.append((i, j, a))
-        if not (0.0 <= rows[i][i] <= 1.0):
-            raise MatrixFormatError(
-                f"entry ({i}, {i}) = {rows[i][i]} outside [0, 1]")
-    return Graph(n, edges)
+                f"row {i}: {row.size} entries, expected {n} (matrix not square)")
+    m = np.stack(rows)
+    # written so that NaN, which fails every comparison, is out of range
+    bad = ~((m >= 0.0) & (m <= 1.0))
+    with np.errstate(invalid="ignore"):  # inf - inf; such cells are bad
+        asym = np.abs(m - m.T) > SYMMETRY_TOL
+    if bad.any() or asym.any():
+        _raise_first_bad_cell(m, bad, asym)
+    u, v = np.nonzero(np.triu(m, 1) > 0.0)
+    return Graph(n, (u, v, m[u, v]))
+
+
+def _raise_first_bad_cell(m: np.ndarray, bad: np.ndarray,
+                          asym: np.ndarray) -> None:
+    """Name the first violation in scan order: row by row, each pair
+    (i, j) with j > i checked as (i, j) range, (j, i) range, symmetry;
+    then the row's diagonal."""
+    pair_bad = np.triu(bad | bad.T | asym, 1)
+    i = int(np.argmax(pair_bad.any(axis=1) | np.diagonal(bad)))
+    if not pair_bad[i].any():
+        raise MatrixFormatError(
+            f"entry ({i}, {i}) = {float(m[i, i])} outside [0, 1]")
+    j = int(np.argmax(pair_bad[i]))
+    a, b = float(m[i, j]), float(m[j, i])
+    if bad[i, j]:
+        raise MatrixFormatError(f"entry ({i}, {j}) = {a} outside [0, 1]")
+    if bad[j, i]:
+        raise MatrixFormatError(f"entry ({j}, {i}) = {b} outside [0, 1]")
+    raise MatrixFormatError(
+        f"asymmetric entries ({i}, {j}) = {a} vs ({j}, {i}) = {b}")
 
 
 def graph_to_json(g: Graph) -> str:
     """Serialize g to the pinned JSON dump format."""
+    u, v, w = (a.tolist() for a in g.edge_arrays())
     payload = {
         "n": g.n,
-        "edges": [[u, v, w] for u, v, w in g.edges()],
+        "edges": [list(e) for e in zip(u, v, w)],
     }
     return json.dumps(payload)
 

@@ -213,6 +213,17 @@ def test_analyze_invalid_matrix_exit_1(tmp_path, capsys):
     assert "asymmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stat", ["degree-histogram", "path-length",
+                                  "clustering"])
+def test_analyze_huge_n_fails_cleanly(tmp_path, capsys, stat):
+    # 10**15 vertices ask numpy for petabytes, which it refuses at once
+    dump = tmp_path / "huge.graph.json"
+    dump.write_text('{"n": 1000000000000000, "edges": []}', encoding="utf-8")
+    assert run_cli(["analyze", "--graph", str(dump), "--stat", stat]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
 def test_reproduce_requires_seed(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run_cli(["reproduce", "--figure", "power-law",

@@ -71,10 +71,35 @@ def test_pair_weights_vectorized():
     ([(0, 1, -0.1)], "weights"),
     ([(0, 3, 1.0)], "outside"),
     ([(0, 1, 1.0), (1, 0, 0.5)], "duplicate"),
+    ([(0, 1, 1.0), (0, 1, 0.5)], "duplicate"),
+    ([(0, 1, 1.0), (1, 2, 1.0), (1, 2, 0.5)], "duplicate"),
 ])
 def test_construction_rejects_invalid_edges(edges, msg):
     with pytest.raises(ValueError, match=msg):
         Graph(3, edges)
+
+
+def test_construction_sorts_only_out_of_order_input():
+    canonical = Graph(4, [(0, 1, 0.1), (0, 3, 0.2), (1, 2, 0.3)])
+    shuffled = Graph(4, [(2, 1, 0.3), (0, 1, 0.1), (3, 0, 0.2)])
+    assert canonical == shuffled
+    u, v, w = shuffled.edge_arrays()
+    assert (u.tolist(), v.tolist(), w.tolist()) == \
+        ([0, 0, 1], [1, 3, 2], [0.1, 0.2, 0.3])
+
+
+def test_construction_orders_pairs_beyond_int64_keys():
+    # with n = 2**40, lo * n + hi wraps for lo = 2**24: the first pair's
+    # key would be 2**24 + 1, below the second's
+    n = 2 ** 40
+    g = Graph(n, [(2 ** 24, 2 ** 24 + 1, 1.0), (1, 2, 1.0)])
+    assert g.edge_arrays()[0].tolist() == [1, 2 ** 24]
+    with pytest.raises(ValueError, match="duplicate"):
+        Graph(n, [(2 ** 24, 2 ** 24 + 1, 1.0), (2 ** 24 + 1, 2 ** 24, 1.0),
+                  (1, 2 ** 24, 1.0)])
+    # distinct pairs whose wrapped keys coincide are not duplicates
+    assert Graph(n, [(0, 2 ** 24 + 1, 1.0),
+                     (2 ** 24, 2 ** 24 + 1, 1.0)]).edge_count == 2
 
 
 def test_construction_rejects_nan_weight():

@@ -108,6 +108,27 @@ def test_import_rejects_nan_entries():
         import_matrix("nan 0.5\n0.5 0\n")
 
 
+@pytest.mark.parametrize("text,msg", [
+    # asymmetry in (0, 1) is met before (2, 0), which is out of range
+    ("0 0.5 0\n0.4 0 0\n1.5 0 0\n",
+     "asymmetric entries (0, 1) = 0.5 vs (1, 0) = 0.4"),
+    # (1, 0) out of range is met before the asymmetry in (0, 2)
+    ("0 0.5 0.5\n1.5 0 0\n0.4 0 0\n", "entry (1, 0) = 1.5 outside [0, 1]"),
+    # within a pair, the lower cell's range check precedes symmetry
+    ("0 0.5\n-1 0\n", "entry (1, 0) = -1.0 outside [0, 1]"),
+    # a bad diagonal ends its row, so it beats every later row
+    ("2 0 0\n0 0 1.5\n0 1.5 0\n", "entry (0, 0) = 2.0 outside [0, 1]"),
+    # but not a bad cell later in its own row
+    ("2 nan\nnan 0\n", "entry (0, 1) = nan outside [0, 1]"),
+    ("0 0 0\n0 9 0\n0 0.3 0\n",
+     "asymmetric entries (1, 2) = 0.0 vs (2, 1) = 0.3"),
+])
+def test_import_names_first_violation_in_scan_order(text, msg):
+    with pytest.raises(MatrixFormatError) as exc:
+        import_matrix(text)
+    assert str(exc.value) == msg
+
+
 def test_import_rejects_non_numeric():
     with pytest.raises(MatrixFormatError, match="non-numeric"):
         import_matrix("0 x\nx 0\n")
