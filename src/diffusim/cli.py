@@ -16,12 +16,13 @@ import configparser
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
 from .analysis import (characteristic_path_length, clustering_coefficient,
                        fit_power_law)
-from .diffusion import SimulationConfig, run
+from .diffusion import ContactModel, SimulationConfig, run
 from .ensemble import EnsembleConfig, compare_ensembles, run_ensemble
 from .generators import FAMILIES, GeneratorSpec
 from .graph import Graph, degree_histogram, mean_offdiagonal_weight
@@ -29,11 +30,9 @@ from .matrixio import (MatrixFormatError, export_link_matrix,
                        export_probability_matrix, graph_from_json,
                        graph_to_json, import_matrix)
 
-FIGURES = ("random-network", "stochastic-network", "scale-free-network",
-           "power-law", "random-vs-stochastic")
 STATS = ("degree-histogram", "matrix-mean", "clustering", "path-length",
          "power-law")
-MODELS = ("broadcast", "random-contact")
+MODELS = tuple(m.value for m in ContactModel)
 
 _DESK = {
     "n": 100,
@@ -117,35 +116,48 @@ def cmd_generate(parser, args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _apply_config_file(parser, args) -> None:
+def _not_boolean(value: str) -> bool:
+    try:
+        return not configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {value!r}") from None
+
+
+# (section, key) -> (simulate dest, converter)
+_CONFIG_KEYS = {
+    ("generator", "family"): ("family", str),
+    ("generator", "n"): ("n", int),
+    ("generator", "edge_prob"): ("edge_prob", float),
+    ("generator", "seed"): ("graph_seed", int),
+    ("simulation", "model"): ("model", str),
+    ("simulation", "initial"): ("initial", _int_list),
+    ("simulation", "max_loops"): ("max_loops", int),
+    ("simulation", "seed"): ("seed", int),
+    ("ensemble", "replications"): ("replications", int),
+    ("ensemble", "regenerate_graph"): ("fixed_graph", _not_boolean),
+    ("output", "outdir"): ("outdir", str),
+    ("output", "prefix"): ("prefix", str),
+}
+
+
+def _config_defaults(path: str) -> dict:
+    """``simulate`` option values from an INI config file, by dest."""
     cp = configparser.ConfigParser()
-    read = cp.read(args.config)
-    if not read:
-        raise OSError(f"config file not found: {args.config}")
-    getters = {
-        ("generator", "family"): ("family", str),
-        ("generator", "n"): ("n", int),
-        ("generator", "edge_prob"): ("edge_prob", float),
-        ("generator", "seed"): ("graph_seed", int),
-        ("simulation", "model"): ("model", str),
-        ("simulation", "initial"): ("initial", _int_list),
-        ("simulation", "max_loops"): ("max_loops", int),
-        ("simulation", "seed"): ("seed", int),
-        ("ensemble", "replications"): ("replications", int),
-        ("ensemble", "regenerate_graph"): ("fixed_graph", None),
-        ("output", "outdir"): ("outdir", str),
-        ("output", "prefix"): ("prefix", str),
-    }
-    for (section, key), (dest, conv) in getters.items():
-        if not cp.has_option(section, key):
-            continue
-        if dest in args._explicit:
-            continue  # flags override file values
-        raw = cp.get(section, key)
-        if dest == "fixed_graph":
-            setattr(args, dest, not cp.getboolean(section, key))
-        else:
-            setattr(args, dest, conv(raw))
+    try:
+        if not cp.read(path):
+            raise OSError(f"config file not found: {path}")
+    except configparser.Error as exc:
+        raise ValueError(f"malformed config file: {exc}") from exc
+    values = {}
+    for (section, key), (dest, conv) in _CONFIG_KEYS.items():
+        if cp.has_option(section, key):
+            try:
+                values[dest] = conv(cp.get(section, key))
+            except (ValueError, argparse.ArgumentTypeError,
+                    configparser.Error) as exc:
+                # every converter's message names the offending value
+                raise ValueError(f"config [{section}] {key}: {exc}") from exc
+    return values
 
 
 def _simulate_one(parser, args, g, spec, initial, prefix, outdir) -> None:
@@ -186,8 +198,6 @@ def _simulate_one(parser, args, g, spec, initial, prefix, outdir) -> None:
 
 
 def cmd_simulate(parser, args) -> int:
-    if args.config:
-        _apply_config_file(parser, args)
     if args.graph and args.family:
         parser.error("give either --graph or --family, not both")
     g = None
@@ -271,8 +281,7 @@ def _reproduce_trajectories(family: str, seed: int, outdir: Path) -> list[str]:
     for k in d["initials"]:
         base = SimulationConfig(model=d["model"], initial_informed=k,
                                 max_loops=d["max_loops"], seed=seed + k)
-        edge_prob = 0.5 if family == "random" else None
-        spec = GeneratorSpec(family, d["n"], edge_prob, seed)
+        spec = GeneratorSpec(family, d["n"], None, seed)
         summary = run_ensemble(EnsembleConfig(
             base=base, generator=spec, replications=d["replications"]))
         name = f"{family.replace('-', '_')}_trajectory_k{k}.csv"
@@ -302,8 +311,7 @@ def _reproduce_random_vs_stochastic(seed: int, outdir: Path) -> list[str]:
                             max_loops=d["max_loops"], seed=seed)
     summaries = {}
     for family in ("random", "stochastic"):
-        edge_prob = 0.5 if family == "random" else None
-        spec = GeneratorSpec(family, d["n"], edge_prob, seed)
+        spec = GeneratorSpec(family, d["n"], None, seed)
         summaries[family] = run_ensemble(EnsembleConfig(
             base=base, generator=spec,
             replications=d["compare_replications"]))
@@ -319,17 +327,18 @@ def _reproduce_random_vs_stochastic(seed: int, outdir: Path) -> list[str]:
     return outputs
 
 
+# figure id -> builder(seed, outdir), which returns the artifact names
+FIGURES = {
+    "random-network": partial(_reproduce_trajectories, "random"),
+    "stochastic-network": partial(_reproduce_trajectories, "stochastic"),
+    "scale-free-network": partial(_reproduce_trajectories, "scale-free"),
+    "power-law": _reproduce_power_law,
+    "random-vs-stochastic": _reproduce_random_vs_stochastic,
+}
+
+
 def _run_reproduce(figure: str, seed: int, outdir: Path) -> None:
-    if figure == "random-network":
-        outputs = _reproduce_trajectories("random", seed, outdir)
-    elif figure == "stochastic-network":
-        outputs = _reproduce_trajectories("stochastic", seed, outdir)
-    elif figure == "scale-free-network":
-        outputs = _reproduce_trajectories("scale-free", seed, outdir)
-    elif figure == "power-law":
-        outputs = _reproduce_power_law(seed, outdir)
-    else:
-        outputs = _reproduce_random_vs_stochastic(seed, outdir)
+    outputs = FIGURES[figure](seed, outdir)
     manifest = {
         "figure": figure,
         "seed": seed,
@@ -367,22 +376,6 @@ def cmd_reproduce(parser, args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _suppress_defaults(parser: argparse.ArgumentParser) -> None:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                _suppress_defaults(sp)
-        else:
-            action.default = argparse.SUPPRESS
-
-
-def _explicit_dests(argv: list[str]) -> set[str]:
-    """Dests actually given on the command line (config must not override)."""
-    aux = build_parser()
-    _suppress_defaults(aux)
-    return set(vars(aux.parse_args(argv)))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diffusim",
@@ -400,6 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir")
     p.add_argument("--prefix")
+    p.set_defaults(handler=cmd_generate)
 
     p = sub.add_parser("simulate", help="run one diffusion or an ensemble "
                                         "and write trajectory CSVs")
@@ -422,11 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="INI config file; flags override it")
     p.add_argument("--outdir")
     p.add_argument("--prefix")
+    # main installs --config values as this parser's defaults
+    p.set_defaults(handler=cmd_simulate, config_parser=p)
 
     p = sub.add_parser("analyze", help="compute a statistic of a graph file")
     p.add_argument("--graph", required=True)
     p.add_argument("--stat", required=True, choices=STATS)
     p.add_argument("--out")
+    p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("reproduce", help="write the canned desk-scale data "
                                          "bundle for one figure")
@@ -435,6 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-manifest",
                    help="re-execute a previously written manifest.json")
     p.add_argument("--outdir")
+    p.set_defaults(handler=cmd_reproduce)
 
     return parser
 
@@ -444,15 +442,13 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._explicit = _explicit_dests(argv)
-    handlers = {
-        "generate": cmd_generate,
-        "simulate": cmd_simulate,
-        "analyze": cmd_analyze,
-        "reproduce": cmd_reproduce,
-    }
     try:
-        return handlers[args.command](parser, args)
+        if getattr(args, "config", None):
+            # the file's values become simulate's defaults, so argparse
+            # still ranks every flag given on the command line above them
+            args.config_parser.set_defaults(**_config_defaults(args.config))
+            args = parser.parse_args(argv)
+        return args.handler(parser, args)
     except (MatrixFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

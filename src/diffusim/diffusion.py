@@ -43,7 +43,7 @@ the one that repeated :func:`step` calls produce on the same stream.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,13 +113,9 @@ class DiffusionState:
 
     informed: frozenset[int]
     loop: int
-    _mask: np.ndarray | None = field(
-        default=None, compare=False, repr=False)
 
     def mask(self, n: int) -> np.ndarray:
-        """Boolean membership array of length n (cached when possible)."""
-        if self._mask is not None and self._mask.size == n:
-            return self._mask
+        """Boolean membership array of length n."""
         m = np.zeros(n, dtype=bool)
         if self.informed:
             m[list(self.informed)] = True
@@ -153,7 +149,7 @@ def init_state(g: Graph, cfg: SimulationConfig,
     subsequent per-loop draws share one seed.
     """
     mask = _initial_mask(g, cfg, rng)
-    return DiffusionState(frozenset(np.flatnonzero(mask).tolist()), 0, mask)
+    return DiffusionState(frozenset(np.flatnonzero(mask).tolist()), 0)
 
 
 def _open_edges(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -200,7 +196,7 @@ def step(g: Graph, state: DiffusionState, model: ContactModel,
                                      _weights_to_uninformed(g, mask))
             new_mask[targets[hit]] = True
     informed = frozenset(np.flatnonzero(new_mask).tolist())
-    return DiffusionState(informed, state.loop + 1, new_mask)
+    return DiffusionState(informed, state.loop + 1)
 
 
 @dataclass
@@ -216,10 +212,7 @@ class TrajectoryRecord:
 
     def saturation_loop(self) -> int | None:
         """First loop at which all n vertices are informed, else None."""
-        for loop, c in enumerate(self.counts):
-            if c == self.n:
-                return loop
-        return None
+        return self.first_loop_reaching(self.n)
 
     def first_loop_reaching(self, count: int) -> int | None:
         """First loop with at least ``count`` informed, else None."""

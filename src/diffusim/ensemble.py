@@ -16,7 +16,7 @@ independent of replication order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -210,14 +210,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
             g = fixed_graph
         else:
             g = cfg.generator.with_seed(graph_seed).build()
-        rep_cfg = SimulationConfig(
-            model=cfg.base.model,
-            initial_informed=cfg.base.initial_informed,
-            max_loops=cfg.base.max_loops,
-            seed=run_seed,
-            initial_vertices=cfg.base.initial_vertices,
-        )
-        trajectories.append(run(g, rep_cfg).counts)
+        trajectories.append(run(g, replace(cfg.base, seed=run_seed)).counts)
     return _aggregate(cfg.generator.n, trajectories)
 
 
@@ -253,15 +246,14 @@ class ComparisonReport:
 
 
 def _bootstrap_mean_diff_ci(a: np.ndarray, b: np.ndarray,
-                            samples: int, seed: int,
-                            lo_pct: float = 2.5,
-                            hi_pct: float = 97.5) -> tuple[float, float]:
+                            samples: int, seed: int) -> tuple[float, float]:
+    """Percentile bootstrap 95% interval of mean(a) - mean(b)."""
     rng = np.random.default_rng(seed)
     ia = rng.integers(0, a.size, size=(samples, a.size))
     ib = rng.integers(0, b.size, size=(samples, b.size))
     diffs = a[ia].mean(axis=1) - b[ib].mean(axis=1)
-    return (float(np.percentile(diffs, lo_pct)),
-            float(np.percentile(diffs, hi_pct)))
+    return (float(np.percentile(diffs, 2.5)),
+            float(np.percentile(diffs, 97.5)))
 
 
 def compare_ensembles(a: EnsembleSummary, b: EnsembleSummary,

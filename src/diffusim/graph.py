@@ -42,7 +42,7 @@ class Graph:
     """
 
     __slots__ = ("n", "_eu", "_ev", "_ew", "_indptr", "_nbr", "_nbrw",
-                 "_pair_keys", "_pair_w", "_degrees")
+                 "_pair_keys", "_degrees")
 
     def __init__(self, n: int, edges: Iterable = ()) -> None:
         if n < 0:
@@ -92,7 +92,6 @@ class Graph:
         self._nbr = None
         self._nbrw = None
         self._pair_keys = None
-        self._pair_w = None
         self._degrees = None
 
     # -- construction helpers -------------------------------------------------
@@ -121,8 +120,8 @@ class Graph:
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
         self._indptr, self._nbr, self._nbrw = indptr, dv, dw
+        # one key per CSR position: _nbrw[i] is the weight of _pair_keys[i]
         self._pair_keys = du * self.n + dv
-        self._pair_w = dw
         self._degrees = counts.astype(np.int64)
 
     def _adj(self):
@@ -191,7 +190,7 @@ class Graph:
         u = self._check_vertex(u)
         v = self._check_vertex(v)
         i = self._pair_index(u, v)
-        return float(self._pair_w[i]) if i >= 0 else 0.0
+        return float(self._nbrw[i]) if i >= 0 else 0.0
 
     def pair_weights(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`weight` for aligned endpoint arrays."""
@@ -202,7 +201,7 @@ class Graph:
         pos = np.searchsorted(self._pair_keys, keys)
         pos = np.minimum(pos, self._pair_keys.size - 1)
         hit = self._pair_keys[pos] == keys
-        return np.where(hit, self._pair_w[pos], 0.0)
+        return np.where(hit, self._nbrw[pos], 0.0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -139,6 +139,38 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     assert text.splitlines()[1] == "0,7"
 
 
+def test_simulate_flag_equal_to_default_overrides_config(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[generator]\nfamily = complete\nn = 10\n"
+                   "[simulation]\nseed = 3\nmax_loops = 5\n",
+                   encoding="utf-8")
+    # --seed 0 is also the flag's default; given explicitly, it still wins
+    assert run_cli(["simulate", "--config", str(cfg), "--seed", "0",
+                    "--outdir", str(tmp_path)]) == 0
+    assert "seed=0 max_loops=5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("simulation", "initial", "1,x"),
+    ("simulation", "seed", "abc"),
+    ("generator", "edge_prob", "half"),
+    ("ensemble", "regenerate_graph", "maybe"),
+])
+def test_simulate_bad_config_value_exit_1(tmp_path, capsys, section, key,
+                                          value):
+    sections = {"generator": ["family = complete", "n = 10"]}
+    sections.setdefault(section, []).append(f"{key} = {value}")
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                           for name, lines in sections.items()),
+                   encoding="utf-8")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert key in err and value in err
+
+
 def test_simulate_graph_file_input(tmp_path, capsys):
     assert run_cli(["generate", "--family", "complete", "--n", "20",
                     "--outdir", str(tmp_path)]) == 0
@@ -222,6 +254,32 @@ def test_analyze_huge_n_fails_cleanly(tmp_path, capsys, stat):
     assert run_cli(["analyze", "--graph", str(dump), "--stat", stat]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    "family = complete\n",  # no section header
+    "[generator]\nn = 10\n[generator]\nn = 20\n",
+])
+def test_simulate_malformed_config_file_exit_1(tmp_path, capsys, text):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("dump", [
+    '{"n": 3, "edges": [[0, 99999999999999999999, 0.5]]}',
+    '{"n": Infinity, "edges": []}',
+])
+def test_analyze_unrepresentable_json_number_exit_1(tmp_path, capsys, dump):
+    path = tmp_path / "bad.graph.json"
+    path.write_text(dump, encoding="utf-8")
+    assert run_cli(["analyze", "--graph", str(path),
+                    "--stat", "degree-histogram"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_reproduce_requires_seed(tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from diffusim import (
     ContactModel,
+    DiffusionState,
     Graph,
     SimulationConfig,
     gen_complete,
@@ -405,3 +406,27 @@ def test_repeated_step_reproduces_run(model):
                 s = step(g, s, model, rng)
                 counts.append(len(s.informed))
             assert counts == run(g, cfg).counts, (g, seed)
+
+
+# 0-1-2-3 with chord 0-3, pendant 4 on 3, isolated 5
+STREAM_GRAPH = Graph(6, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.2),
+                         (3, 4, 1.0)])
+
+
+@pytest.mark.parametrize("model,informed,draws", [
+    # broadcast: one uniform per edge from an informed to an uninformed
+    # vertex: 0->1, 3->2, 3->4
+    (ContactModel.BROADCAST, {0, 3, 5}, 3),
+    (ContactModel.BROADCAST, set(range(6)), 0),
+    # random-contact: two per informed vertex with an edge, saturated or not
+    (ContactModel.RANDOM_CONTACT, {0, 3, 5}, 4),
+    (ContactModel.RANDOM_CONTACT, set(range(6)), 10),
+])
+def test_step_consumes_contract_count(model, informed, draws):
+    rng = np.random.default_rng(11)
+    ref = np.random.default_rng(11)
+    ref.random(draws)
+    state = step(STREAM_GRAPH, DiffusionState(frozenset(informed), 4),
+                 model, rng)
+    assert state.loop == 5 and state.informed >= informed
+    assert rng.bit_generator.state == ref.bit_generator.state

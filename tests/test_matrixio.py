@@ -166,3 +166,45 @@ def test_json_rejects_malformed():
 def test_json_rejects_nan_weight():
     with pytest.raises(MatrixFormatError, match="weights"):
         graph_from_json('{"n": 2, "edges": [[0, 1, NaN]]}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"n": 3, "edges": [[0, 1.7, 0.5]]}',
+    '{"n": 3, "edges": [[0.5, 2, 0.5]]}',
+    '{"n": 2.9, "edges": []}',
+    '{"n": Infinity, "edges": []}',
+    '{"n": NaN, "edges": []}',
+    '{"n": 3, "edges": [[0, "2", 0.5]]}',
+    '{"n": 3, "edges": [[0, 99999999999999999999, 0.5]]}',
+    '{"n": 3, "edges": [[0, 1, 0.5], [1, 2]]}',
+    '{"n": 3, "edges": [[0, 1, 0.5], [1, 2, 0.5, 7]]}',
+    '{"n": 3, "edges": [[0, 1, 0.5, 7]]}',
+    '{"n": 3, "edges": [0, 1, 0.5]}',
+    '{"n": 3, "edges": 5}',
+])
+def test_json_rejects_non_integral_or_malformed(text):
+    with pytest.raises(MatrixFormatError):
+        graph_from_json(text)
+
+
+def test_json_accepts_integral_floats():
+    g = graph_from_json('{"n": 3.0, "edges": [[0, 2.0, 0.5], [1.0, 2, 1]]}')
+    assert g == Graph(3, [(0, 2, 0.5), (1, 2, 1.0)])
+
+
+def test_json_vertex_ids_are_exact_beyond_float64():
+    # 2**53 + 1 has no float64; a float elsewhere in the column must not
+    # round it onto 2**53
+    big = 2 ** 53
+    text = (f'{{"n": {2 ** 60}, "edges": '
+            f'[[0, 1.0, 0.5], [{big}, {big + 1}, 0.25]]}}')
+    u, v, w = graph_from_json(text).edge_arrays()
+    assert u.tolist() == [0, big] and v.tolist() == [1, big + 1]
+    assert w.tolist() == [0.5, 0.25]
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0), Graph(4), Graph(5, [(3, 4, 0.0), (0, 1, 1e-300), (1, 3, 1.0)]),
+])
+def test_json_dump_loads_equal_graph(g):
+    assert graph_from_json(graph_to_json(g)) == g
