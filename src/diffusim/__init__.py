@@ -2,101 +2,17 @@
 families (complete, random, stochastic, scale-free) with a Monte Carlo
 replication harness and structural analyses."""
 
-from .analysis import (
-    PathLengthResult,
-    PowerLawFit,
-    average_degree_histograms,
-    characteristic_path_length,
-    clustering_coefficient,
-    fit_power_law,
-    matrix_average_convergence,
-)
-from .diffusion import (
-    ContactModel,
-    DiffusionState,
-    SimulationConfig,
-    TrajectoryRecord,
-    init_state,
-    run,
-    step,
-)
-from .ensemble import (
-    ComparisonReport,
-    EnsembleConfig,
-    EnsembleSummary,
-    SaturationStats,
-    compare_ensembles,
-    replication_seeds,
-    run_ensemble,
-)
-from .generators import (
-    FAMILIES,
-    GeneratorSpec,
-    gen_complete,
-    gen_random,
-    gen_scale_free,
-    gen_stochastic,
-    make_rng,
-)
-from .graph import (
-    Graph,
-    bfs_distances,
-    connected_components,
-    degree_histogram,
-    is_connected,
-    mean_offdiagonal_weight,
-)
-from .matrixio import (
-    MatrixFormatError,
-    export_link_matrix,
-    export_probability_matrix,
-    graph_from_json,
-    graph_to_json,
-    import_matrix,
-)
+from . import analysis, diffusion, ensemble, generators, graph, matrixio
+from .analysis import *  # noqa: F403
+from .diffusion import *  # noqa: F403
+from .ensemble import *  # noqa: F403
+from .generators import *  # noqa: F403
+from .graph import *  # noqa: F403
+from .matrixio import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ContactModel",
-    "ComparisonReport",
-    "DiffusionState",
-    "EnsembleConfig",
-    "EnsembleSummary",
-    "FAMILIES",
-    "GeneratorSpec",
-    "Graph",
-    "MatrixFormatError",
-    "PathLengthResult",
-    "PowerLawFit",
-    "SaturationStats",
-    "SimulationConfig",
-    "TrajectoryRecord",
-    "average_degree_histograms",
-    "bfs_distances",
-    "characteristic_path_length",
-    "clustering_coefficient",
-    "compare_ensembles",
-    "connected_components",
-    "degree_histogram",
-    "export_link_matrix",
-    "export_probability_matrix",
-    "fit_power_law",
-    "gen_complete",
-    "gen_random",
-    "gen_scale_free",
-    "gen_stochastic",
-    "graph_from_json",
-    "graph_to_json",
-    "import_matrix",
-    "init_state",
-    "is_connected",
-    "make_rng",
-    "matrix_average_convergence",
-    "mean_offdiagonal_weight",
-    "replication_seeds",
-    "run",
-    "run_ensemble",
-    "step",
-    "__version__",
-]
+# each module's __all__ names its public API once; the package re-exports it
+__all__ = [name for module in (analysis, diffusion, ensemble, generators,
+                               graph, matrixio) for name in module.__all__]
+__all__.append("__version__")

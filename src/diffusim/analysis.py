@@ -12,6 +12,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .ensemble import replication_seeds
 from .generators import GeneratorSpec
 from .graph import Graph, _bfs_levels, connected_components, \
     mean_offdiagonal_weight
@@ -40,20 +41,18 @@ def matrix_average_convergence(
         edge_prob: float = 0.5) -> list[tuple[int, float]]:
     """Mean off-diagonal weight of one generated graph per size.
 
-    The graph for ``sizes[i]`` uses the seed derived as the first 64-bit
-    word of ``SeedSequence(seed, spawn_key=(i,))``, so the returned
-    sequence is deterministic in (family, sizes, seed).
+    The graph for ``sizes[i]`` uses the graph seed of replication i,
+    ``replication_seeds(seed, i)[0]``, so the returned sequence is
+    deterministic in (family, sizes, seed).
     """
     sizes = list(sizes)
     if not sizes:
         raise ValueError("sizes must be nonempty")
     out = []
     for i, n in enumerate(sizes):
-        derived = int(np.random.SeedSequence(seed, spawn_key=(i,))
-                      .generate_state(1, np.uint64)[0])
         prob = edge_prob if family == "random" else None
-        spec = GeneratorSpec(family, n, prob,
-                             None if family == "complete" else derived)
+        spec = GeneratorSpec(family, n, prob, None if family == "complete"
+                             else replication_seeds(seed, i)[0])
         out.append((n, mean_offdiagonal_weight(spec.build())))
     return out
 

@@ -16,6 +16,7 @@ import configparser
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -30,8 +31,6 @@ from .matrixio import (MatrixFormatError, export_link_matrix,
                        export_probability_matrix, graph_from_json,
                        graph_to_json, import_matrix)
 
-STATS = ("degree-histogram", "matrix-mean", "clustering", "path-length",
-         "power-law")
 MODELS = tuple(m.value for m in ContactModel)
 
 _DESK = {
@@ -72,11 +71,15 @@ def _load_graph(path: str) -> Graph:
 
 
 def _int_list(value: str) -> list[int]:
+    """Nonempty list of comma-separated integers; empty items are skipped."""
     try:
-        return [int(v) for v in value.split(",") if v.strip() != ""]
-    except ValueError as exc:
+        ints = [int(v) for v in value.split(",") if v.strip() != ""]
+    except ValueError:
+        ints = []
+    if not ints:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {value!r}") from exc
+            f"expected comma-separated integers, got {value!r}")
+    return ints
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +126,22 @@ def _not_boolean(value: str) -> bool:
         raise ValueError(f"expected a boolean, got {value!r}") from None
 
 
+def _one_of(choices):
+    def check(value: str) -> str:
+        if value not in choices:
+            raise ValueError(
+                f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+    return check
+
+
 # (section, key) -> (simulate dest, converter)
 _CONFIG_KEYS = {
-    ("generator", "family"): ("family", str),
+    ("generator", "family"): ("family", _one_of(FAMILIES)),
     ("generator", "n"): ("n", int),
     ("generator", "edge_prob"): ("edge_prob", float),
     ("generator", "seed"): ("graph_seed", int),
-    ("simulation", "model"): ("model", str),
+    ("simulation", "model"): ("model", _one_of(MODELS)),
     ("simulation", "initial"): ("initial", _int_list),
     ("simulation", "max_loops"): ("max_loops", int),
     ("simulation", "seed"): ("seed", int),
@@ -164,12 +176,10 @@ def _simulate_one(parser, args, g, spec, initial, prefix, outdir) -> None:
     try:
         cfg = SimulationConfig(
             model=args.model,
-            initial_informed=(len(args.initial_vertices)
-                              if args.initial_vertices else initial),
+            initial_informed=initial,
             max_loops=args.max_loops,
             seed=args.seed,
-            initial_vertices=(tuple(args.initial_vertices)
-                              if args.initial_vertices else None),
+            initial_vertices=args.initial_vertices,
         )
     except ValueError as exc:
         parser.error(str(exc))
@@ -220,9 +230,8 @@ def cmd_simulate(parser, args) -> int:
     outdir = _outdir(args)
     prefix = args.prefix or "simulation"
     print(f"model={args.model} seed={args.seed} max_loops={args.max_loops}")
-    initials = args.initial
-    if args.initial_vertices:
-        initials = [len(args.initial_vertices)]
+    initials = ([len(args.initial_vertices)] if args.initial_vertices
+                else args.initial)
     for initial in initials:
         suffix = f"_k{initial}" if len(initials) > 1 else ""
         _simulate_one(parser, args, g, spec, initial,
@@ -240,30 +249,32 @@ def _histogram_csv(hist) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_line(g: Graph, **fields) -> str:
+    return json.dumps({"n": g.n, **fields}) + "\n"
+
+
+def _path_length_json(g: Graph) -> str:
+    res = characteristic_path_length(g)
+    return _json_line(g, characteristic_path_length=res.value,
+                      connected=res.connected,
+                      component_size=res.component_size)
+
+
+# statistic -> renderer(graph), which returns the output text
+STATS = {
+    "degree-histogram": lambda g: _histogram_csv(degree_histogram(g)),
+    "matrix-mean": lambda g: _json_line(
+        g, mean_offdiagonal_weight=mean_offdiagonal_weight(g)),
+    "clustering": lambda g: _json_line(
+        g, clustering_coefficient=clustering_coefficient(g)),
+    "path-length": _path_length_json,
+    "power-law": lambda g: _json_line(
+        g, **asdict(fit_power_law(degree_histogram(g)))),
+}
+
+
 def cmd_analyze(parser, args) -> int:
-    g = _load_graph(args.graph)
-    stat = args.stat
-    if stat == "degree-histogram":
-        text = _histogram_csv(degree_histogram(g))
-    elif stat == "matrix-mean":
-        text = json.dumps(
-            {"n": g.n, "mean_offdiagonal_weight":
-                mean_offdiagonal_weight(g)}) + "\n"
-    elif stat == "clustering":
-        text = json.dumps(
-            {"n": g.n, "clustering_coefficient":
-                clustering_coefficient(g)}) + "\n"
-    elif stat == "path-length":
-        res = characteristic_path_length(g)
-        text = json.dumps(
-            {"n": g.n, "characteristic_path_length": res.value,
-             "connected": res.connected,
-             "component_size": res.component_size}) + "\n"
-    else:  # power-law
-        fit = fit_power_law(degree_histogram(g))
-        text = json.dumps(
-            {"n": g.n, "slope": fit.slope, "intercept": fit.intercept,
-             "points_used": fit.points_used}) + "\n"
+    text = STATS[args.stat](_load_graph(args.graph))
     if args.out:
         _write(Path(args.out), text)
     else:
@@ -295,11 +306,8 @@ def _reproduce_power_law(seed: int, outdir: Path) -> list[str]:
     hist = degree_histogram(g)
     outputs = ["degree_histogram.csv", "power_law_fit.json"]
     _write(outdir / outputs[0], _histogram_csv(hist))
-    fit = fit_power_law(hist)
-    hub = max(hist)
     _write(outdir / outputs[1], json.dumps(
-        {"n": g.n, "slope": fit.slope, "intercept": fit.intercept,
-         "points_used": fit.points_used, "max_degree": hub,
+        {"n": g.n, **asdict(fit_power_law(hist)), "max_degree": max(hist),
          "degree_one_fraction": hist.get(1, 0) / g.n}, indent=2) + "\n")
     return outputs
 

@@ -162,22 +162,20 @@ def _open_edges(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return targets[is_open], nbrw[edge[is_open]]
 
 
-def _contacts(n: int, act: np.ndarray, u: np.ndarray,
-              weight) -> tuple[np.ndarray, np.ndarray]:
+def _contacts(g: Graph, mask: np.ndarray, act: np.ndarray,
+              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Targets of actors ``act`` over a block of loops, and which contacts
     inform someone new.
 
     ``u`` holds the loops' uniforms as (loops, 2, actors): the pick row,
-    then the coin row, as one loop draws them. ``weight(us, vs)`` is the
-    weight of edge {u, v} while v is uninformed, else 0.
+    then the coin row, as one loop draws them. A contact informs when its
+    coin falls below the weight of edge {actor, target} and the target is
+    not in ``mask``.
     """
-    targets = (u[:, 0] * (n - 1)).astype(np.int64)
+    targets = (u[:, 0] * (g.n - 1)).astype(np.int64)
     targets += targets >= act
-    return targets, u[:, 1] < weight(act, targets)
-
-
-def _weights_to_uninformed(g: Graph, mask: np.ndarray):
-    return lambda us, vs: np.where(mask[vs], 0.0, g.pair_weights(us, vs))
+    weights = np.where(mask[targets], 0.0, g.pair_weights(act, targets))
+    return targets, u[:, 1] < weights
 
 
 def step(g: Graph, state: DiffusionState, model: ContactModel,
@@ -192,8 +190,7 @@ def step(g: Graph, state: DiffusionState, model: ContactModel,
         act = np.flatnonzero(mask & (g.degrees() > 0))
         if act.size:
             u = rng.random(2 * act.size).reshape(1, 2, act.size)
-            targets, hit = _contacts(g.n, act, u,
-                                     _weights_to_uninformed(g, mask))
+            targets, hit = _contacts(g, mask, act, u)
             new_mask[targets[hit]] = True
     informed = frozenset(np.flatnonzero(new_mask).tolist())
     return DiffusionState(informed, state.loop + 1)
@@ -236,20 +233,24 @@ def run(g: Graph, cfg: SimulationConfig) -> TrajectoryRecord:
     rng = make_rng(cfg.seed)
     mask = _initial_mask(g, cfg, rng)
     counts = [int(np.count_nonzero(mask))]
-    if cfg.model is ContactModel.BROADCAST:
-        _spread_broadcast(g, mask, counts, cfg.max_loops, rng)
-    else:
-        _spread_random_contact(g, mask, counts, cfg.max_loops, rng)
+    spread = (_spread_broadcast if cfg.model is ContactModel.BROADCAST
+              else _spread_random_contact)
+    spread(g, mask, counts, cfg.max_loops, rng)
+    if counts[-1] < g.n:
+        # the spread stops early only when nothing can act: the remaining
+        # loops draw nothing and change nothing
+        counts.extend([counts[-1]] * (cfg.max_loops + 1 - len(counts)))
     return TrajectoryRecord(g.n, counts)
 
+
+# Each spread appends one count per loop to ``counts`` until saturation,
+# the loop budget, or a state in which nothing can act; run pads the rest.
 
 def _spread_broadcast(g: Graph, mask: np.ndarray, counts: list[int],
                       max_loops: int, rng: np.random.Generator) -> None:
     while counts[-1] < g.n and len(counts) <= max_loops:
         targets, weights = _open_edges(g, mask)
         if targets.size == 0:
-            # nothing to attempt: no draws, and no loop changes anything
-            counts.extend([counts[-1]] * (max_loops + 1 - len(counts)))
             return
         mask[targets[rng.random(targets.size) < weights]] = True
         counts.append(int(np.count_nonzero(mask)))
@@ -260,7 +261,6 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                            rng: np.random.Generator) -> None:
     n = g.n
     has_edge = g.degrees() > 0
-    weight = _weights_to_uninformed(g, mask)
     buf, pos = np.empty(0), 0  # drawn uniforms; buf[pos:] not yet consumed
     block = 1  # loops evaluated at once
     act = None  # vertices that act, fixed until someone new is informed
@@ -268,8 +268,6 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
         if act is None:
             act = np.flatnonzero(mask & has_edge)
             if act.size == 0:
-                # nobody can act: no draws, and no loop changes anything
-                counts.extend([counts[-1]] * (max_loops + 1 - len(counts)))
                 return
         a = act.size
         block = min(block, max_loops + 1 - len(counts),
@@ -280,7 +278,7 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                                   rng.random(need - (buf.size - pos))))
             pos = 0
         targets, hit = _contacts(
-            n, act, buf[pos:pos + need].reshape(block, 2, a), weight)
+            g, mask, act, buf[pos:pos + need].reshape(block, 2, a))
         first = int(hit.argmax())
         if not hit.flat[first]:
             counts.extend([counts[-1]] * block)

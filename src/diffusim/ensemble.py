@@ -36,6 +36,9 @@ __all__ = [
 
 # informed fraction whose first-passage loop is tracked alongside saturation
 THRESHOLD_FRACTION = 0.9
+# resamples and seed of the bootstrap interval in compare_ensembles
+BOOTSTRAP_SAMPLES = 10000
+BOOTSTRAP_SEED = 0
 
 
 def replication_seeds(base_seed: int, index: int) -> tuple[int, int]:
@@ -79,10 +82,9 @@ class SaturationStats:
     times: np.ndarray  # per replication; -1 where censored
 
     @classmethod
-    def from_times(cls, times: np.ndarray,
-                   replications: int) -> "SaturationStats":
+    def from_times(cls, times: np.ndarray) -> "SaturationStats":
         ok = times[times >= 0]
-        censored = replications - ok.size
+        censored = times.size - ok.size
         if ok.size == 0:
             return cls(None, None, None, None, censored, times)
         srt = np.sort(ok)
@@ -192,8 +194,8 @@ def _aggregate(n: int, trajectories: list[list[int]]) -> EnsembleSummary:
         p10=_nearest_rank(srt, 10),
         p50=_nearest_rank(srt, 50),
         p90=_nearest_rank(srt, 90),
-        saturation=SaturationStats.from_times(sat_times, reps),
-        threshold=SaturationStats.from_times(thr_times, reps),
+        saturation=SaturationStats.from_times(sat_times),
+        threshold=SaturationStats.from_times(thr_times),
     )
 
 
@@ -245,20 +247,19 @@ class ComparisonReport:
         }
 
 
-def _bootstrap_mean_diff_ci(a: np.ndarray, b: np.ndarray,
-                            samples: int, seed: int) -> tuple[float, float]:
+def _bootstrap_mean_diff_ci(a: np.ndarray,
+                            b: np.ndarray) -> tuple[float, float]:
     """Percentile bootstrap 95% interval of mean(a) - mean(b)."""
-    rng = np.random.default_rng(seed)
-    ia = rng.integers(0, a.size, size=(samples, a.size))
-    ib = rng.integers(0, b.size, size=(samples, b.size))
+    rng = np.random.default_rng(BOOTSTRAP_SEED)
+    ia = rng.integers(0, a.size, size=(BOOTSTRAP_SAMPLES, a.size))
+    ib = rng.integers(0, b.size, size=(BOOTSTRAP_SAMPLES, b.size))
     diffs = a[ia].mean(axis=1) - b[ib].mean(axis=1)
     return (float(np.percentile(diffs, 2.5)),
             float(np.percentile(diffs, 97.5)))
 
 
-def compare_ensembles(a: EnsembleSummary, b: EnsembleSummary,
-                      bootstrap_samples: int = 10000,
-                      bootstrap_seed: int = 0) -> ComparisonReport:
+def compare_ensembles(a: EnsembleSummary,
+                      b: EnsembleSummary) -> ComparisonReport:
     """Report mean-trajectory and first-passage differences (a minus b).
 
     Both summaries must describe the same vertex count and the same loop
@@ -278,15 +279,14 @@ def compare_ensembles(a: EnsembleSummary, b: EnsembleSummary,
             and b.saturation.mean > 0):
         sat_ratio = a.saturation.mean / b.saturation.mean
 
-    ta = a.threshold.times[a.threshold.times >= 0]
-    tb = b.threshold.times[b.threshold.times >= 0]
     thr_diff = None
     ci = None
-    if ta.size and tb.size:
-        thr_diff = float(ta.mean() - tb.mean())
-        ci = _bootstrap_mean_diff_ci(
-            ta.astype(np.float64), tb.astype(np.float64),
-            bootstrap_samples, bootstrap_seed)
+    if a.threshold.mean is not None and b.threshold.mean is not None:
+        thr_diff = a.threshold.mean - b.threshold.mean
+        ta = a.threshold.times[a.threshold.times >= 0]
+        tb = b.threshold.times[b.threshold.times >= 0]
+        ci = _bootstrap_mean_diff_ci(ta.astype(np.float64),
+                                     tb.astype(np.float64))
 
     return ComparisonReport(
         mean_diff=mean_diff,
@@ -294,8 +294,8 @@ def compare_ensembles(a: EnsembleSummary, b: EnsembleSummary,
         saturation_mean_a=a.saturation.mean,
         saturation_mean_b=b.saturation.mean,
         saturation_ratio=sat_ratio,
-        threshold_mean_a=float(ta.mean()) if ta.size else None,
-        threshold_mean_b=float(tb.mean()) if tb.size else None,
+        threshold_mean_a=a.threshold.mean,
+        threshold_mean_b=b.threshold.mean,
         threshold_mean_diff=thr_diff,
         threshold_diff_ci95=ci,
     )

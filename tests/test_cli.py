@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,6 +157,8 @@ def test_simulate_flag_equal_to_default_overrides_config(tmp_path, capsys):
     ("simulation", "seed", "abc"),
     ("generator", "edge_prob", "half"),
     ("ensemble", "regenerate_graph", "maybe"),
+    ("simulation", "model", "bogus"),
+    ("simulation", "initial", ","),
 ])
 def test_simulate_bad_config_value_exit_1(tmp_path, capsys, section, key,
                                           value):
@@ -170,6 +174,40 @@ def test_simulate_bad_config_value_exit_1(tmp_path, capsys, section, key,
     assert err.startswith("error: ") and "Traceback" not in err
     assert key in err and value in err
 
+
+def test_simulate_bad_config_family_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[generator]\nfamily = bogus\nn = 10\n", encoding="utf-8")
+    assert run_cli(["simulate", "--config", str(cfg),
+                    "--outdir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: config [generator] family: ")
+    assert "bogus" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""  # fails before the run header
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--initial", ","),
+    ("--initial", ""),
+    ("--initial", " , "),
+    ("--initial-vertices", ","),
+])
+def test_simulate_empty_initial_list_exit_2(tmp_path, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--family", "complete", "--n", "5", flag, value,
+                 "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "expected comma-separated integers" in capsys.readouterr().err
+    assert list(tmp_path.glob("*.csv")) == []
+
+
+def test_simulate_initial_trailing_comma_accepted(tmp_path, capsys):
+    assert run_cli(["simulate", "--family", "complete", "--n", "5",
+                    "--model", "broadcast", "--initial", "1,2,",
+                    "--outdir", str(tmp_path), "--prefix", "tc"]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.glob("*.csv")) == [
+        "tc_k1.trajectory.csv", "tc_k2.trajectory.csv"]
 
 def test_simulate_graph_file_input(tmp_path, capsys):
     assert run_cli(["generate", "--family", "complete", "--n", "20",
@@ -364,6 +402,38 @@ def test_reproduce_figures_desk_scale(tmp_path, capsys, small_desk,
         report = json.loads((tmp_path / "comparison.json").read_text())
         assert "max_abs_mean_diff" in report
         assert "threshold_diff_ci95" in report
+
+
+# --- reproduce bundles: golden digests ------------------------------------
+# reproduce_digests.json holds the SHA-256 of every artifact and of
+# manifest.json, recorded before the CLI's figure and statistic tables
+# were reworked. All five figures run at the small_desk scale; power-law,
+# which builds one graph, also runs at full scale.
+
+REPRODUCE_DIGESTS_PATH = Path(__file__).with_name("reproduce_digests.json")
+REPRODUCE_CASES = [
+    (figure, seed, "small")
+    for figure in ("random-network", "stochastic-network",
+                   "scale-free-network", "power-law", "random-vs-stochastic")
+    for seed in (0, 1)
+] + [("power-law", seed, "full") for seed in (0, 1)]
+
+
+@pytest.mark.parametrize(
+    "figure,seed,scale", REPRODUCE_CASES,
+    ids=[f"{f}-s{s}-{scale}" for f, s, scale in REPRODUCE_CASES])
+def test_reproduce_bundle_matches_recorded_digests(tmp_path, capsys, request,
+                                                   figure, seed, scale):
+    if scale == "small":
+        request.getfixturevalue("small_desk")
+    want = json.loads(REPRODUCE_DIGESTS_PATH.read_text())[
+        f"{figure}-s{seed}-{scale}"]
+    assert run_cli(["reproduce", "--figure", figure, "--seed", str(seed),
+                    "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.iterdir()}
+    assert got == want
 
 
 def test_version_flag(capsys):
