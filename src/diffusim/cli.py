@@ -88,10 +88,8 @@ def _int_list(value: str) -> list[int]:
 
 def _generator_spec(parser, family, n, edge_prob, seed) -> GeneratorSpec:
     try:
-        return GeneratorSpec(
-            family, n,
-            edge_prob if family == "random" else None,
-            None if family == "complete" else seed)
+        return GeneratorSpec(family, n, edge_prob,
+                             None if family == "complete" else seed)
     except ValueError as exc:
         parser.error(str(exc))
 

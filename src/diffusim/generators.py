@@ -10,7 +10,10 @@ Stream consumption is part of the contract:
   pair in lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...
 * ``gen_scale_free`` attaches vertex 1 to vertex 0 without randomness, then
   for each vertex t = 2..n-1 draws one integer index into the
-  degree-weighted attachment pool.
+  degree-weighted attachment pool, as ``Generator.integers`` would. The
+  indices are drawn in bulk from the same stream words, so this family
+  also depends on how numpy implements ``integers``; the golden digests
+  check it down to the lowest numpy that ``pyproject.toml`` declares.
 """
 
 from __future__ import annotations
@@ -126,6 +129,49 @@ def gen_stochastic(n: int, seed: int = 0) -> Graph:
     return Graph(n, (u.astype(np.int64), v.astype(np.int64), w))
 
 
+# largest n whose attachment bounds 2(t-1) all stay below 2**32, where
+# Generator.integers takes one 32-bit value per try
+_MAX_SCALE_FREE_N = 2**31 + 1
+_LEMIRE_CHUNK = 1 << 16
+
+
+def _lemire_draws(rng: np.random.Generator, bounds: np.ndarray) -> np.ndarray:
+    """``[rng.integers(0, k) for k in bounds]``, drawn in bulk.
+
+    Only for a fresh generator (no buffered half word) and 2 <= k < 2**32:
+    ``integers(0, 1)`` consumes no draw at all, and k = 2**32 takes the
+    32-bit value as it is. numpy draws each pick by Lemire's method: it
+    takes x from ``next_uint32`` (PCG64 serves the low half of a 64-bit
+    word, then the high half), returns ``(x * k) >> 32``, and draws x
+    again while the low 32 bits of ``x * k`` fall below
+    ``(2**32 - k) % k``. Picks are evaluated a chunk at a time from
+    ``random_raw`` words; a rejected x is skipped and the same bound tried
+    again with the next value. The generator's state afterwards is
+    unspecified.
+    """
+    bounds = bounds.astype(np.uint64)
+    thresholds = (np.uint64(2**32) - bounds) % bounds
+    picks = np.empty(bounds.size, dtype=np.int64)
+    xs = np.empty(0, dtype=np.uint64)
+    done = pos = 0
+    while done < bounds.size:
+        todo = min(bounds.size - done, _LEMIRE_CHUNK)
+        if xs.size - pos < todo:
+            words = rng.bit_generator.random_raw(todo // 2 + 1)
+            halves = np.stack((words & 0xFFFFFFFF, words >> 32), axis=1)
+            xs = np.concatenate((xs[pos:], halves.ravel()))
+            pos = 0
+        m = xs[pos:pos + todo] * bounds[done:done + todo]
+        bad = np.flatnonzero((m & 0xFFFFFFFF) < thresholds[done:done + todo])
+        ok = int(bad[0]) if bad.size else todo
+        picks[done:done + ok] = m[:ok] >> 32
+        done += ok
+        pos += ok
+        if bad.size:  # skip the rejected x; the bound gets the next one
+            pos += 1
+    return picks
+
+
 def gen_scale_free(n: int, seed: int = 0) -> Graph:
     """Grow a tree by preferential attachment, one edge per new vertex.
 
@@ -134,21 +180,35 @@ def gen_scale_free(n: int, seed: int = 0) -> Graph:
     Every later vertex t picks its target with probability proportional
     to the target's current degree, so the result is a connected tree
     with n - 1 edges and a heavy-tailed degree distribution.
+
+    Vertex t's pick is ``rng.integers(0, 2(t-1))`` into a pool holding
+    every vertex once per unit of degree: pool[0] is 0, pool[2j+1] is
+    vertex j+1 and pool[2j] is the target of vertex j+1. ``_lemire_draws``
+    draws all picks at once, and pointer jumping resolves the even picks'
+    references. n above ``_MAX_SCALE_FREE_N`` is rejected.
     """
     if n < 1:
         raise ValueError(f"vertex count must be >= 1, got {n}")
+    if n > _MAX_SCALE_FREE_N:
+        raise ValueError(
+            f"scale-free vertex count must be <= {_MAX_SCALE_FREE_N}, got {n}")
     if n == 1:
         return Graph(1)
-    rng = make_rng(seed)
-    targets = np.empty(n - 1, dtype=np.int64)
-    targets[0] = 0
-    # pool holds each vertex once per unit of degree
-    pool = [0, 1]
-    for t in range(2, n):
-        pick = int(rng.integers(0, len(pool)))
-        tgt = pool[pick]
-        targets[t - 1] = tgt
-        pool.append(tgt)
-        pool.append(t)
+    picks = _lemire_draws(make_rng(seed), 2 * np.arange(1, n - 1))
+    # targets[i] is the target of vertex i + 1. An odd pick 2j+1 names
+    # vertex j+1; an even pick 2j names targets[j], an earlier entry,
+    # through ref. Entries known outright are roots: ref points to itself.
+    targets = np.zeros(n - 1, dtype=np.int64)
+    targets[1:] = (picks + 1) >> 1
+    ref = np.arange(n - 1)
+    open_ = np.flatnonzero(picks % 2 == 0) + 1
+    ref[open_] = picks[open_ - 1] >> 1
+    # pointer jumping: every round doubles the distance each ref spans
+    while open_.size:
+        ref[open_] = ref[ref[open_]]
+        root = ref[open_]
+        at_root = ref[root] == root
+        targets[open_[at_root]] = targets[root[at_root]]
+        open_ = open_[~at_root]
     sources = np.arange(1, n, dtype=np.int64)
     return Graph(n, (sources, targets, np.ones(n - 1, dtype=np.float64)))

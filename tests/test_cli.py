@@ -440,3 +440,53 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(["--version"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("family", ["complete", "stochastic", "scale-free"])
+def test_generate_edge_prob_for_other_family_exit_2(tmp_path, capsys,
+                                                    family):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["generate", "--family", family, "--n", "4",
+                 "--edge-prob", "0.3", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "edge_prob is not used" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("family", ["complete", "stochastic", "scale-free"])
+def test_simulate_edge_prob_for_other_family_exit_2(tmp_path, capsys,
+                                                    family):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--family", family, "--n", "4",
+                 "--edge-prob", "0.3", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "edge_prob is not used" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_config_edge_prob_for_other_family_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[generator]\nfamily = scale-free\nn = 10\n"
+                   "edge_prob = 0.3\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--config", str(cfg),
+                 "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "edge_prob is not used" in capsys.readouterr().err
+
+
+def test_generate_random_edge_prob_defaults_to_half(tmp_path, capsys):
+    from diffusim import gen_random, graph_from_json
+    assert run_cli(["generate", "--family", "random", "--n", "30",
+                    "--seed", "4", "--outdir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "random_n30_seed4.graph.json").read_text()
+    assert graph_from_json(text) == gen_random(30, 0.5, seed=4)
+
+
+def test_generate_scale_free_beyond_32_bit_draws_exit_1(tmp_path, capsys):
+    assert run_cli(["generate", "--family", "scale-free", "--n",
+                    str(2**31 + 2), "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "2147483649" in err

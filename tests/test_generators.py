@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffusim import (
+    Graph,
     GeneratorSpec,
     degree_histogram,
     gen_complete,
@@ -15,6 +19,7 @@ from diffusim import (
     is_connected,
     mean_offdiagonal_weight,
 )
+from diffusim.generators import _lemire_draws
 
 
 # --- GeneratorSpec validation ------------------------------------------------
@@ -184,3 +189,76 @@ def test_scale_free_attachment_tracks_degree():
 def test_same_seed_same_graph(build):
     assert build(123) == build(123)
     assert build(123) != build(124)
+
+
+# --- scale-free growth against the per-vertex loop it replaced ---------------
+
+def ref_scale_free_targets(n, seed):
+    """Attachment targets of vertices 1..n-1, one ``integers`` call each."""
+    rng = np.random.default_rng(seed)
+    targets = np.zeros(n - 1, dtype=np.int64)  # vertex 1 attaches to 0
+    # pool holds each vertex once per unit of degree
+    pool = [0, 1]
+    for t in range(2, n):
+        tgt = pool[int(rng.integers(0, len(pool)))]
+        targets[t - 1] = tgt
+        pool.append(tgt)
+        pool.append(t)
+    return targets
+
+
+def assert_scale_free_matches_reference(n, seed):
+    want = Graph(n, (np.arange(1, n, dtype=np.int64),
+                     ref_scale_free_targets(n, seed),
+                     np.ones(n - 1, dtype=np.float64)))
+    for got_arr, want_arr in zip(gen_scale_free(n, seed=seed).edge_arrays(),
+                                 want.edge_arrays()):
+        np.testing.assert_array_equal(got_arr, want_arr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 3000), seed=st.integers(0, 2**64 - 1))
+def test_scale_free_matches_per_vertex_loop(n, seed):
+    assert_scale_free_matches_reference(n, seed)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63])
+def test_scale_free_matches_per_vertex_loop_large(seed):
+    assert_scale_free_matches_reference(10**5, seed)
+
+
+def test_scale_free_rejects_n_beyond_32_bit_draws_before_allocating():
+    # at n = 2**31 + 2 the last pool bound reaches 2**32, which numpy
+    # draws another way; the graph alone would need tens of GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2147483649"):
+            gen_scale_free(2**31 + 2, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+# --- bulk bounded draws against one Generator.integers call each -------------
+
+def assert_lemire_draws_match_integers(bounds, seed):
+    rng = np.random.default_rng(seed)
+    want = [int(rng.integers(0, int(k))) for k in bounds]
+    got = _lemire_draws(np.random.default_rng(seed), bounds)
+    assert got.tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1),
+       bounds=st.lists(st.integers(2**31, 2**32 - 2), min_size=1,
+                       max_size=300))
+def test_lemire_draws_match_integers_near_2_32(seed, bounds):
+    # (2**32 - k) % k is 2**32 - k here: up to half of all draws, a
+    # quarter on average, are rejected and drawn again
+    assert_lemire_draws_match_integers(np.array(bounds), seed)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63])
+def test_lemire_draws_match_integers_small_bounds(seed):
+    assert_lemire_draws_match_integers(np.arange(2, 5001), seed)
