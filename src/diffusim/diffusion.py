@@ -35,9 +35,12 @@ same values as ``random(a + b)``: drawing ahead changes no value that any
 loop sees. Since the acting set cannot change until someone new is
 informed, a block of loops is evaluated at once; only the first informing
 loop is applied, and the uniforms of the loops after it stay buffered for
-the next block. Broadcast gathers a loop's attempts from the CSR adjacency
-in one pass, in the pinned order. Every trajectory of :func:`run` equals
-the one that repeated :func:`step` calls produce on the same stream.
+the next block. Broadcast gathers only the CSR rows of its acting set, the
+informed vertices that may still have an uninformed neighbour. A vertex
+leaves it once none of its edges is open; the informed set only grows, so
+none opens again and each loop draws for exactly the open edges, in the
+pinned order. Every trajectory of :func:`run` equals the one that repeated
+:func:`step` calls produce on the same stream.
 """
 
 from __future__ import annotations
@@ -248,12 +251,21 @@ def run(g: Graph, cfg: SimulationConfig) -> TrajectoryRecord:
 
 def _spread_broadcast(g: Graph, mask: np.ndarray, counts: list[int],
                       max_loops: int, rng: np.random.Generator) -> None:
+    _, nbr, nbrw = g._adj()
+    act = np.flatnonzero(mask)  # ascending; holds every open edge's source
     while counts[-1] < g.n and len(counts) <= max_loops:
-        targets, weights = _open_edges(g, mask)
-        if targets.size == 0:
+        edge = g._gather(act)
+        is_open = ~mask[nbr[edge]]
+        if not is_open.any():
             return
-        mask[targets[rng.random(targets.size) < weights]] = True
+        edge, sources = edge[is_open], act.repeat(g.degrees()[act])[is_open]
+        targets = nbr[edge]
+        hit = rng.random(targets.size) < nbrw[edge]
+        mask[targets[hit]] = True
         counts.append(int(np.count_nonzero(mask)))
+        # keep the sources with an edge still open, add the newly informed
+        act = np.sort(np.concatenate((sources[~mask[targets]], targets[hit])))
+        act = act[np.diff(act, prepend=-1) > 0]  # np.unique is slower
 
 
 def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],

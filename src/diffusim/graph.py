@@ -7,7 +7,9 @@ between concurrent simulation runs.
 
 Storage is edge-array based with a lazily built CSR adjacency, so
 construction from bulk numpy arrays is cheap and neighbor iteration is
-O(degree). ``Graph._gather`` turns a batch of vertices into the CSR
+O(degree). The CSR build is one stable sort on the row: edges are kept in
+canonical order, so listing each row's lower neighbours first leaves them
+ascending. ``Graph._gather`` turns a batch of vertices into the CSR
 positions of all their rows at once; breadth-first search, clustering and
 broadcast diffusion expand whole frontiers with it instead of slicing one
 row per vertex.
@@ -111,10 +113,10 @@ class Graph:
             yield u, v, w
 
     def _build_adjacency(self) -> None:
-        du = np.concatenate([self._eu, self._ev])
-        dv = np.concatenate([self._ev, self._eu])
+        du = np.concatenate([self._ev, self._eu])
+        dv = np.concatenate([self._eu, self._ev])
         dw = np.concatenate([self._ew, self._ew])
-        order = np.lexsort((dv, du))
+        order = np.argsort(du, kind="stable")
         du, dv, dw = du[order], dv[order], dw[order]
         counts = np.bincount(du, minlength=self.n)
         indptr = np.zeros(self.n + 1, dtype=np.int64)

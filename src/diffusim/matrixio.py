@@ -58,12 +58,24 @@ def export_link_matrix(g: Graph) -> str:
 
 def export_probability_matrix(g: Graph) -> str:
     """Render g as a probability matrix with two-decimal entries."""
-    rows = [["0.00"] * g.n for _ in range(g.n)]
-    for u, v, weight in g.edges():
-        cell = f"{weight:.2f}"
-        rows[u][v] = cell
-        rows[v][u] = cell
-    return "\n".join(" ".join(r) for r in rows) + "\n"
+    if g.n == 0:
+        return "\n"
+    u, v, w = g.edge_arrays()
+    # cell k of the table is k hundredths, "0.00" to "1.00". rint(100 w)
+    # rounds as format(w, ".2f") does except near a tie, where the exact
+    # binary value of w decides; format settles those few weights.
+    table = np.frombuffer(b"".join(b"%d.%02d" % divmod(k, 100)
+                                   for k in range(101)), np.uint8)
+    k = np.rint(w * 100).astype(np.uint8)
+    tie = np.flatnonzero(np.abs(w * 100 % 1 - 0.5) < 1e-6)
+    k[tie] = [int(format(w[i], ".2f").replace(".", "")) for i in tie]
+    index = np.zeros((g.n, g.n), dtype=np.uint8)
+    index[u, v] = index[v, u] = k
+    # row i is "cell cell ... cell\n": each cell then a space or newline
+    cells = np.full((g.n, g.n, 5), ord(" "), dtype=np.uint8)
+    cells[:, :, :4] = table.reshape(101, 4)[index]
+    cells[:, -1, 4] = ord("\n")
+    return cells.tobytes().decode()
 
 
 def import_matrix(text: str) -> Graph:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,17 @@ def test_run_matches_reference_property(g, data, model, max_loops, seed):
                                          initial_vertices=verts)
 
 
+def step_counts(g, cfg):
+    """Informed counts from repeated :func:`step` calls on one stream."""
+    rng = np.random.default_rng(cfg.seed)
+    s = init_state(g, cfg, rng)
+    counts = [len(s.informed)]
+    while counts[-1] < g.n and s.loop < cfg.max_loops:
+        s = step(g, s, cfg.model, rng)
+        counts.append(len(s.informed))
+    return counts
+
+
 @pytest.mark.parametrize("model", list(ContactModel))
 def test_repeated_step_reproduces_run(model):
     # the last graph is large and sparse: many quiet loops per block
@@ -399,13 +411,26 @@ def test_repeated_step_reproduces_run(model):
     for g in graphs:
         for seed in range(5):
             cfg = SimulationConfig(model, 1 + seed % 3, 400, seed=seed)
-            rng = np.random.default_rng(seed)
-            s = init_state(g, cfg, rng)
-            counts = [len(s.informed)]
-            while counts[-1] < g.n and s.loop < cfg.max_loops:
-                s = step(g, s, model, rng)
-                counts.append(len(s.informed))
-            assert counts == run(g, cfg).counts, (g, seed)
+            assert step_counts(g, cfg) == run(g, cfg).counts, (g, seed)
+
+
+def reweighted(g, seed):
+    """g's edges with i.i.d. uniform weights."""
+    u, v, _ = g.edge_arrays()
+    return Graph(g.n, (u, v, np.random.default_rng(seed).random(u.size)))
+
+
+@pytest.mark.parametrize("g", [
+    reweighted(gen_scale_free(2000, seed=5), 1),
+    reweighted(gen_random(1500, 0.0015, seed=6), 2),  # ~150 isolated
+], ids=["scale-free-tree", "sparse-random"])
+def test_broadcast_run_matches_step_at_scale(g):
+    # low-weight edges keep a source acting for many loops while its
+    # other neighbours, and the sources around it, drop out of the
+    # acting set; the 6-loop budget stops the spread mid-way
+    for seed, max_loops in [(0, 6), (1, 300), (2, 300)]:
+        cfg = SimulationConfig("broadcast", 1 + seed, max_loops, seed=seed)
+        assert run(g, cfg).counts == step_counts(g, cfg), seed
 
 
 # 0-1-2-3 with chord 0-3, pendant 4 on 3, isolated 5
@@ -430,3 +455,52 @@ def test_step_consumes_contract_count(model, informed, draws):
                  model, rng)
     assert state.loop == 5 and state.informed >= informed
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+# --- exact law: the Reed-Frost chain ------------------------------------------
+# On a complete graph with weight p on every edge, broadcast's informed
+# count is a Markov chain: from i informed, each of the n - i uninformed
+# vertices escapes all i sources with probability (1 - p)^i, so the number
+# newly informed is Binomial(n - i, 1 - (1 - p)^i).
+
+def reed_frost(n, p, loops):
+    """Exact distribution of the informed count after each loop from one
+    informed vertex, as rows 0..loops."""
+    kernel = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        q = 1.0 - (1.0 - p) ** i
+        for j in range(n - i + 1):
+            kernel[i, i + j] = \
+                math.comb(n - i, j) * q ** j * (1.0 - q) ** (n - i - j)
+    dist = np.zeros((loops + 1, n + 1))
+    dist[0, 1] = 1.0
+    for t in range(loops):
+        dist[t + 1] = dist[t] @ kernel
+    return dist
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_broadcast_follows_reed_frost_chain(seed):
+    n, p, reps, loops = 60, 0.02, 1500, 150
+    dist = reed_frost(n, p, loops)
+    assert dist[-1, n] > 1 - 1e-12  # the runs saturate within the budget
+    informed = np.arange(n + 1)
+    mean = dist @ informed
+    var = dist @ informed ** 2 - mean ** 2
+    unsaturated = 1.0 - dist[:, n]  # P(T_sat > t)
+    t_mean = unsaturated.sum()
+    t_var = ((2 * np.arange(loops + 1) + 1) * unsaturated).sum() - t_mean ** 2
+
+    g = Graph(n, [(i, j, p) for i in range(n) for j in range(i + 1, n)])
+    counts = np.full((reps, loops + 1), n)
+    for r in range(reps):
+        c = run(g, SimulationConfig("broadcast", 1, loops,
+                                    seed=seed * reps + r)).counts
+        counts[r, :len(c)] = c
+    # loops at which at least 1% of runs are still spreading; later means
+    # sit at n with a variance too small to give a z-score
+    live = np.flatnonzero((unsaturated > 0.01) & (var > 0))
+    z = (counts.mean(axis=0) - mean)[live] / np.sqrt(var[live] / reps)
+    assert live.size > 5 and np.abs(z).max() < 4, z
+    t_sat = (counts < n).sum(axis=1)
+    assert abs(t_sat.mean() - t_mean) / math.sqrt(t_var / reps) < 4

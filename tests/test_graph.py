@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffusim import (
     Graph,
@@ -100,6 +102,39 @@ def test_construction_orders_pairs_beyond_int64_keys():
     # distinct pairs whose wrapped keys coincide are not duplicates
     assert Graph(n, [(0, 2 ** 24 + 1, 1.0),
                      (2 ** 24, 2 ** 24 + 1, 1.0)]).edge_count == 2
+
+
+def ref_csr(g):
+    """The CSR arrays from a two-key lexsort of both edge directions."""
+    u, v, w = g.edge_arrays()
+    du, dv, dw = np.r_[u, v], np.r_[v, u], np.r_[w, w]
+    order = np.lexsort((dv, du))
+    du, dv, dw = du[order], dv[order], dw[order]
+    indptr = np.r_[0, np.cumsum(np.bincount(du, minlength=g.n))]
+    return indptr, dv, dw, du * g.n + dv
+
+
+@st.composite
+def csr_graphs(draw):
+    """Graphs with n in [0, 30], isolated vertices and edges given in any
+    order and orientation."""
+    n = draw(st.integers(0, 30))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True,
+                           max_size=4 * n)) if pairs else []
+    edges = [(j, i) if draw(st.booleans()) else (i, j) for i, j in chosen]
+    return Graph(n, [(i, j, draw(st.floats(0.0, 1.0))) for i, j in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(g=csr_graphs())
+@example(g=Graph(0))
+@example(g=Graph(1))
+@example(g=Graph(5, [(3, 1, 0.5), (1, 0, 1.0)]))
+def test_adjacency_matches_lexsort_reference(g):
+    indptr, nbr, nbrw = g._adj()
+    for got, want in zip((indptr, nbr, nbrw, g._pair_keys), ref_csr(g)):
+        assert got.tolist() == want.tolist()
 
 
 def test_construction_rejects_nan_weight():

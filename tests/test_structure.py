@@ -103,6 +103,15 @@ def ref_export_link(g):
     return "\n".join(" ".join(r) for r in rows) + "\n"
 
 
+def ref_export_probability(g):
+    rows = [["0.00"] * g.n for _ in range(g.n)]
+    for u, v, weight in g.edges():
+        cell = f"{weight:.2f}"
+        rows[u][v] = cell
+        rows[v][u] = cell
+    return "\n".join(" ".join(r) for r in rows) + "\n"
+
+
 def ref_graph_to_json(g):
     return json.dumps({"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges()]})
 
@@ -245,8 +254,38 @@ def test_matrix_and_json_text_match_reference(g):
     unit = Graph(g.n, [(u, v, 1.0) for u, v, _w in g.edges()])
     assert export_link_matrix(unit) == ref_export_link(unit)
     assert graph_to_json(g) == ref_graph_to_json(g)
+    assert export_probability_matrix(g) == ref_export_probability(g)
     for text in (export_link_matrix(unit), export_probability_matrix(g)):
         assert import_matrix(text) == ref_import_matrix(text)
+
+
+def star(weights) -> Graph:
+    """Vertex 0 joined to vertices 1..len(weights) with these weights."""
+    m = len(weights)
+    return Graph(m + 1, (np.zeros(m, dtype=np.int64), np.arange(1, m + 1),
+                         np.array(weights, dtype=np.float64)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.floats(0.0, 1.0), max_size=40))
+def test_probability_matrix_matches_reference(weights):
+    assert export_probability_matrix(star(weights)) == \
+        ref_export_probability(star(weights))
+
+
+def test_probability_matrix_rounds_ties_like_format():
+    # exact binary ties such as 0.125 round half to even; other stored
+    # values near (k + 0.5) / 100, on either side, round by their exact
+    # binary value
+    weights = [0.0, 1.0, 0.125, 0.375, 0.625, 0.875]
+    for k in range(100):
+        tie = (k + 0.5) / 100
+        weights += [np.nextafter(tie, 0.0), tie, np.nextafter(tie, 1.0)]
+    assert export_probability_matrix(star(weights)) == \
+        ref_export_probability(star(weights))
+    for n in (0, 1):
+        assert export_probability_matrix(Graph(n)) == \
+            ref_export_probability(Graph(n))
 
 
 @pytest.mark.parametrize("sources", [1, 7])
