@@ -11,6 +11,14 @@ the longest horizon (the informed count is absorbing). Per-loop mean and
 standard deviation are computed from exact integer sums, and percentiles
 are nearest-rank, so every summary statistic is bit-reproducible and
 independent of replication order.
+
+The bootstrap interval of :func:`compare_ensembles` draws and reduces its
+resamples in row blocks of at most ``BOOTSTRAP_CHUNK_CELLS`` indices.
+Bounded draws below 2**32 come from PCG64's own buffered 32-bit words, so
+the blocks draw exactly the values of one call and each row's mean is
+computed alone: the report is the one a single call gives. Like
+scale-free growth, the interval therefore depends on how numpy implements
+``Generator.integers``.
 """
 
 from __future__ import annotations
@@ -39,6 +47,9 @@ THRESHOLD_FRACTION = 0.9
 # resamples and seed of the bootstrap interval in compare_ensembles
 BOOTSTRAP_SAMPLES = 10000
 BOOTSTRAP_SEED = 0
+# most resample indices drawn at once: 512 kB of indices in place of a
+# BOOTSTRAP_SAMPLES x size matrix
+BOOTSTRAP_CHUNK_CELLS = 1 << 16
 
 
 def replication_seeds(base_seed: int, index: int) -> tuple[int, int]:
@@ -247,13 +258,26 @@ class ComparisonReport:
         }
 
 
+def _resample_means(rng: np.random.Generator, x: np.ndarray) -> np.ndarray:
+    """Means of BOOTSTRAP_SAMPLES resamples of x, drawn in row blocks.
+
+    The blocks' draws are those of one ``integers`` call of shape
+    (BOOTSTRAP_SAMPLES, x.size), and each row's mean is taken alone.
+    """
+    means = np.empty(BOOTSTRAP_SAMPLES)
+    rows = max(1, BOOTSTRAP_CHUNK_CELLS // x.size)
+    for start in range(0, BOOTSTRAP_SAMPLES, rows):
+        stop = min(start + rows, BOOTSTRAP_SAMPLES)
+        idx = rng.integers(0, x.size, size=(stop - start, x.size))
+        means[start:stop] = x[idx].mean(axis=1)
+    return means
+
+
 def _bootstrap_mean_diff_ci(a: np.ndarray,
                             b: np.ndarray) -> tuple[float, float]:
     """Percentile bootstrap 95% interval of mean(a) - mean(b)."""
     rng = np.random.default_rng(BOOTSTRAP_SEED)
-    ia = rng.integers(0, a.size, size=(BOOTSTRAP_SAMPLES, a.size))
-    ib = rng.integers(0, b.size, size=(BOOTSTRAP_SAMPLES, b.size))
-    diffs = a[ia].mean(axis=1) - b[ib].mean(axis=1)
+    diffs = _resample_means(rng, a) - _resample_means(rng, b)
     return (float(np.percentile(diffs, 2.5)),
             float(np.percentile(diffs, 97.5)))
 

@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-9
+# edges rendered per block of graph_to_json; rendering all edges at once
+# holds every edge's text and values together and raises peak memory
+JSON_BLOCK_EDGES = 1 << 14
 
 
 class MatrixFormatError(ValueError):
@@ -135,13 +138,23 @@ def _raise_first_bad_cell(m: np.ndarray, bad: np.ndarray,
 
 
 def graph_to_json(g: Graph) -> str:
-    """Serialize g to the pinned JSON dump format."""
-    u, v, w = (a.tolist() for a in g.edge_arrays())
-    payload = {
-        "n": g.n,
-        "edges": [list(e) for e in zip(u, v, w)],
-    }
-    return json.dumps(payload)
+    """Serialize g to the pinned JSON dump format.
+
+    Renders what ``json.dumps`` does, ints by ``str`` and finite floats
+    (a Graph holds weights in [0, 1] only) by ``repr``, one block of
+    JSON_BLOCK_EDGES edges per ``%`` format.
+    """
+    u, v, w = g.edge_arrays()
+    blocks = []
+    for start in range(0, w.size, JSON_BLOCK_EDGES):
+        block = slice(start, start + JSON_BLOCK_EDGES)
+        size = w[block].size
+        cells = [None] * (3 * size)  # u, v, w of each edge in turn
+        cells[0::3] = u[block].tolist()
+        cells[1::3] = v[block].tolist()
+        cells[2::3] = w[block].tolist()
+        blocks.append(", ".join(["[%d, %d, %r]"] * size) % tuple(cells))
+    return '{"n": %d, "edges": [%s]}' % (g.n, ", ".join(blocks))
 
 
 def _vertex_ids(values: list) -> np.ndarray:

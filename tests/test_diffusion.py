@@ -457,32 +457,23 @@ def test_step_consumes_contract_count(model, informed, draws):
     assert rng.bit_generator.state == ref.bit_generator.state
 
 
-# --- exact law: the Reed-Frost chain ------------------------------------------
-# On a complete graph with weight p on every edge, broadcast's informed
-# count is a Markov chain: from i informed, each of the n - i uninformed
-# vertices escapes all i sources with probability (1 - p)^i, so the number
-# newly informed is Binomial(n - i, 1 - (1 - p)^i).
+# --- exact laws: the Reed-Frost chain and the push protocol ------------------
+# On a complete graph with one weight on every edge, the informed count of
+# either contact model is a Markov chain with a closed-form kernel. The
+# runs' per-loop mean and saturation loop are compared with the chain's.
 
-def reed_frost(n, p, loops):
-    """Exact distribution of the informed count after each loop from one
-    informed vertex, as rows 0..loops."""
-    kernel = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        q = 1.0 - (1.0 - p) ** i
-        for j in range(n - i + 1):
-            kernel[i, i + j] = \
-                math.comb(n - i, j) * q ** j * (1.0 - q) ** (n - i - j)
-    dist = np.zeros((loops + 1, n + 1))
-    dist[0, 1] = 1.0
+def chain_law(kernel, k, loops):
+    """Exact distribution of the informed count after each loop from k
+    informed, as rows 0..loops, under a one-loop transition kernel."""
+    dist = np.zeros((loops + 1, kernel.shape[0]))
+    dist[0, k] = 1.0
     for t in range(loops):
         dist[t + 1] = dist[t] @ kernel
     return dist
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-def test_broadcast_follows_reed_frost_chain(seed):
-    n, p, reps, loops = 60, 0.02, 1500, 150
-    dist = reed_frost(n, p, loops)
+def assert_runs_follow_law(g, model, k, dist, reps, seed):
+    n, loops = g.n, dist.shape[0] - 1
     assert dist[-1, n] > 1 - 1e-12  # the runs saturate within the budget
     informed = np.arange(n + 1)
     mean = dist @ informed
@@ -491,10 +482,9 @@ def test_broadcast_follows_reed_frost_chain(seed):
     t_mean = unsaturated.sum()
     t_var = ((2 * np.arange(loops + 1) + 1) * unsaturated).sum() - t_mean ** 2
 
-    g = Graph(n, [(i, j, p) for i in range(n) for j in range(i + 1, n)])
     counts = np.full((reps, loops + 1), n)
     for r in range(reps):
-        c = run(g, SimulationConfig("broadcast", 1, loops,
+        c = run(g, SimulationConfig(model, k, loops,
                                     seed=seed * reps + r)).counts
         counts[r, :len(c)] = c
     # loops at which at least 1% of runs are still spreading; later means
@@ -504,3 +494,63 @@ def test_broadcast_follows_reed_frost_chain(seed):
     assert live.size > 5 and np.abs(z).max() < 4, z
     t_sat = (counts < n).sum(axis=1)
     assert abs(t_sat.mean() - t_mean) / math.sqrt(t_var / reps) < 4
+
+
+# Broadcast with weight p: each of the n - i uninformed vertices escapes
+# all i sources with probability (1 - p)^i, so the number newly informed
+# is Binomial(n - i, 1 - (1 - p)^i).
+
+def reed_frost_kernel(n, p):
+    kernel = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        q = 1.0 - (1.0 - p) ** i
+        for j in range(n - i + 1):
+            kernel[i, i + j] = \
+                math.comb(n - i, j) * q ** j * (1.0 - q) ** (n - i - j)
+    return kernel
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_broadcast_follows_reed_frost_chain(seed):
+    n, p, reps, loops = 60, 0.02, 1500, 150
+    dist = chain_law(reed_frost_kernel(n, p), 1, loops)
+    g = Graph(n, [(i, j, p) for i in range(n) for j in range(i + 1, n)])
+    assert_runs_follow_law(g, "broadcast", 1, dist, reps, seed)
+
+
+# Random-contact with weight 1 is the synchronous push protocol (Frieze &
+# Grimmett 1985; Pittel 1987). From i informed, each picks one of the other
+# n - 1 vertices, so Binomial(i, (n - i) / (n - 1)) picks land on the
+# n - i uninformed; each of those is uniform among them, and the number
+# newly informed is the number of uninformed vertices hit: the occupancy
+# distribution.
+
+def push_kernel(n):
+    kernel = np.zeros((n + 1, n + 1))
+    kernel[n, n] = 1.0
+    for i in range(1, n):
+        m = n - i
+        q = m / (n - 1)
+        hit = np.arange(m + 1)
+        occupancy = np.zeros(m + 1)  # vertices hit after b picks land
+        occupancy[0] = 1.0
+        for b in range(i + 1):
+            kernel[i, i:] += \
+                math.comb(i, b) * q ** b * (1.0 - q) ** (i - b) * occupancy
+            occupancy = occupancy * hit / m + np.concatenate(
+                ([0.0], occupancy[:-1] * (m - hit[:-1]) / m))
+    return kernel
+
+
+def test_push_chain_saturation_time():
+    dist = chain_law(push_kernel(100), 1, 60)
+    assert np.allclose(dist.sum(axis=1), 1.0)
+    assert round((1.0 - dist[:, 100]).sum(), 2) == 12.30
+
+
+@pytest.mark.parametrize("n, reps", [(100, 1000), (30, 1500)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_random_contact_follows_push_chain(n, reps, seed):
+    dist = chain_law(push_kernel(n), 1, 60)
+    assert_runs_follow_law(gen_complete(n), "random-contact", 1, dist,
+                           reps, seed)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,8 @@ from diffusim import (
     run,
     run_ensemble,
 )
-from diffusim.ensemble import _aggregate
+from diffusim import ensemble
+from diffusim.ensemble import _aggregate, _bootstrap_mean_diff_ci
 
 
 def make_cfg(family="random", n=30, initial=3, reps=20, seed=9,
@@ -188,3 +191,62 @@ def test_summary_json_dict():
     assert d["saturation"]["mean"] == 1.0
     assert d["saturation"]["censored"] == 0
     assert d["threshold_fraction"] == 0.9
+
+
+# --- the bootstrap interval ---------------------------------------------------
+
+def ref_bootstrap_mean_diff_ci(a, b):
+    """Every resample index of a, then of b, drawn by one call each."""
+    rng = np.random.default_rng(ensemble.BOOTSTRAP_SEED)
+    ia = rng.integers(0, a.size, size=(ensemble.BOOTSTRAP_SAMPLES, a.size))
+    ib = rng.integers(0, b.size, size=(ensemble.BOOTSTRAP_SAMPLES, b.size))
+    diffs = a[ia].mean(axis=1) - b[ib].mean(axis=1)
+    return (float(np.percentile(diffs, 2.5)),
+            float(np.percentile(diffs, 97.5)))
+
+
+def samples(size, integral, seed):
+    rng = np.random.default_rng(seed)
+    if integral:  # loops to threshold, as compare_ensembles passes them
+        return rng.integers(3, 40, size).astype(np.float64)
+    return rng.normal(10.0, 3.0, size)
+
+
+@pytest.mark.parametrize("integral", [True, False])
+@pytest.mark.parametrize("size", [1, 2, 10, 997, 1000])
+def test_bootstrap_matches_one_shot_reference(size, integral):
+    a = samples(size, integral, size)
+    b = samples(1000 if size < 1000 else 997, integral, size + 1)
+    assert _bootstrap_mean_diff_ci(a, b) == ref_bootstrap_mean_diff_ci(a, b)
+
+
+@pytest.mark.parametrize("cells", [1, 5000, 1 << 20])
+def test_bootstrap_matches_reference_at_any_block_size(monkeypatch, cells):
+    # blocks of one row, of a few rows with a short last block, and of
+    # more rows than one sample's resamples need
+    monkeypatch.setattr(ensemble, "BOOTSTRAP_CHUNK_CELLS", cells)
+    a, b = samples(997, True, 5), samples(10, False, 6)
+    assert _bootstrap_mean_diff_ci(a, b) == ref_bootstrap_mean_diff_ci(a, b)
+
+
+def test_bootstrap_matches_reference_above_block_cells(monkeypatch):
+    # samples larger than a block draw one row per block; fewer resamples
+    # keep the reference's index matrices small
+    monkeypatch.setattr(ensemble, "BOOTSTRAP_SAMPLES", 20)
+    size = ensemble.BOOTSTRAP_CHUNK_CELLS + 1
+    for integral in (True, False):
+        a = samples(size, integral, 7)
+        b = samples(size + 2, integral, 8)
+        assert _bootstrap_mean_diff_ci(a, b) == \
+            ref_bootstrap_mean_diff_ci(a, b)
+
+
+def test_bootstrap_peak_memory():
+    a, b = samples(1000, True, 1), samples(1000, True, 2)
+    tracemalloc.start()
+    try:
+        _bootstrap_mean_diff_ci(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20, peak

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import diffusim.analysis as analysis
@@ -257,6 +257,28 @@ def test_matrix_and_json_text_match_reference(g):
     assert export_probability_matrix(g) == ref_export_probability(g)
     for text in (export_link_matrix(unit), export_probability_matrix(g)):
         assert import_matrix(text) == ref_import_matrix(text)
+
+
+JSON_WEIGHTS = [0.0, -0.0, 5e-324, 1e-05, 0.1, 1.0]
+
+
+# no shrink phase: each example renders up to 16k edges, and shrinking a
+# failing one takes minutes
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(size=st.sampled_from([0, 1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1]),
+       head=st.lists(st.sampled_from(JSON_WEIGHTS) | st.floats(0.0, 1.0),
+                     max_size=20),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_json_dump_matches_reference_across_blocks(size, head, seed):
+    # a path, so both endpoints vary, with edge counts on each side of a
+    # block boundary; special weights lead and recur among uniform ones
+    rng = np.random.default_rng(seed)
+    w = rng.random(size)
+    w[rng.integers(0, size, size // 8)] = rng.choice(JSON_WEIGHTS, size // 8)
+    w[:len(head)] = head[:size]
+    g = Graph(size + 1, (np.arange(size), np.arange(1, size + 1), w))
+    assert graph_to_json(g) == ref_graph_to_json(g)
 
 
 def star(weights) -> Graph:
