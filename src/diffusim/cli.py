@@ -179,10 +179,13 @@ def _simulate_one(parser, args, g, spec, initial, prefix, outdir) -> None:
             seed=args.seed,
             initial_vertices=args.initial_vertices,
         )
+        ecfg = EnsembleConfig(
+            base=cfg, generator=spec, replications=args.replications,
+            regenerate_graph=not args.fixed_graph)
     except ValueError as exc:
         parser.error(str(exc))
     if args.replications == 1:
-        rec = run(g if g is not None else spec.build(), cfg)
+        rec = run(g, cfg)
         sat = rec.saturation_loop()
         _write(outdir / f"{prefix}.trajectory.csv", rec.to_csv())
         if sat is None:
@@ -191,9 +194,6 @@ def _simulate_one(parser, args, g, spec, initial, prefix, outdir) -> None:
         else:
             print(f"initial={cfg.initial_informed}: saturated at loop {sat}")
     else:
-        ecfg = EnsembleConfig(
-            base=cfg, generator=spec, replications=args.replications,
-            regenerate_graph=not args.fixed_graph)
         summary = run_ensemble(ecfg)
         _write(outdir / f"{prefix}.ensemble.csv", summary.to_csv())
         _write(outdir / f"{prefix}.ensemble.json",

@@ -475,6 +475,29 @@ def test_simulate_config_edge_prob_for_other_family_exit_2(tmp_path, capsys):
     assert "edge_prob is not used" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("replications", ["0", "-3"])
+def test_simulate_replications_below_one_exit_2(tmp_path, capsys,
+                                                replications):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--family", "complete", "--n", "10",
+                 "--replications", replications, "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"replications must be >= 1, got {replications}" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_config_replications_zero_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[generator]\nfamily = complete\nn = 10\n"
+                   "[ensemble]\nreplications = 0\n", encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--config", str(cfg),
+                 "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "replications must be >= 1, got 0" in capsys.readouterr().err
+
+
 def test_generate_random_edge_prob_defaults_to_half(tmp_path, capsys):
     from diffusim import gen_random, graph_from_json
     assert run_cli(["generate", "--family", "random", "--n", "30",

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffusim import (
@@ -19,7 +19,6 @@ from diffusim import (
     is_connected,
     mean_offdiagonal_weight,
 )
-from diffusim.generators import _lemire_draws
 
 
 # --- GeneratorSpec validation ------------------------------------------------
@@ -228,8 +227,8 @@ def test_scale_free_matches_per_vertex_loop_large(seed):
 
 
 def test_scale_free_rejects_n_beyond_32_bit_draws_before_allocating():
-    # at n = 2**31 + 2 the last pool bound reaches 2**32, which numpy
-    # draws another way; the graph alone would need tens of GB
+    # the cap rejects a tree whose edge arrays alone would need tens of
+    # GB, before anything is allocated
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="2147483649"):
@@ -240,25 +239,34 @@ def test_scale_free_rejects_n_beyond_32_bit_draws_before_allocating():
     assert peak < 1 << 20
 
 
-# --- bulk bounded draws against one Generator.integers call each -------------
+# --- one integers call over an array of bounds against one call each -------
+# gen_scale_free draws every pick with one integers(0, bounds) call; these
+# pin the numpy behaviour that call rests on, on every numpy the CI runs
 
-def assert_lemire_draws_match_integers(bounds, seed):
+def assert_array_integers_match_scalar_calls(bounds, seed):
     rng = np.random.default_rng(seed)
     want = [int(rng.integers(0, int(k))) for k in bounds]
-    got = _lemire_draws(np.random.default_rng(seed), bounds)
+    got_rng = np.random.default_rng(seed)
+    got = got_rng.integers(0, np.array(bounds, dtype=np.int64))
+    assert got.dtype == np.int64
     assert got.tolist() == want
+    assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**64 - 1),
        bounds=st.lists(st.integers(2**31, 2**32 - 2), min_size=1,
                        max_size=300))
-def test_lemire_draws_match_integers_near_2_32(seed, bounds):
+@example(seed=0, bounds=[2**32 - 1, 2**32, 2**32 + 1, 2**40])
+@example(seed=2**63, bounds=[3, 2**32, 5, 2**32 + 1, 2**32 - 1, 7, 2**40])
+@example(seed=1, bounds=[])
+def test_array_integers_match_scalar_calls_near_2_32(seed, bounds):
     # (2**32 - k) % k is 2**32 - k here: up to half of all draws, a
-    # quarter on average, are rejected and drawn again
-    assert_lemire_draws_match_integers(np.array(bounds), seed)
+    # quarter on average, are rejected and drawn again; 2**32 takes a
+    # 32-bit value as it is and larger bounds draw 64-bit values
+    assert_array_integers_match_scalar_calls(bounds, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63])
-def test_lemire_draws_match_integers_small_bounds(seed):
-    assert_lemire_draws_match_integers(np.arange(2, 5001), seed)
+def test_array_integers_match_scalar_calls_small_bounds(seed):
+    assert_array_integers_match_scalar_calls(np.arange(2, 5001), seed)
