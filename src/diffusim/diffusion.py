@@ -28,19 +28,26 @@ Consumption order is pinned so trajectories are reproducible anywhere:
    target selection, then one uniform per acting vertex (ascending) for
    the success check.
 
-For random-contact, :func:`run` draws uniforms in blocks and consumes
-them by cursor. ``Generator.random`` spends exactly one 64-bit word of the
-stream per double, so ``random(a)`` followed by ``random(b)`` returns the
-same values as ``random(a + b)``: drawing ahead changes no value that any
-loop sees. Since the acting set cannot change until someone new is
-informed, a block of loops is evaluated at once; only the first informing
-loop is applied, and the uniforms of the loops after it stay buffered for
-the next block. Broadcast gathers only the CSR rows of its acting set, the
-informed vertices that may still have an uninformed neighbour. A vertex
-leaves it once none of its edges is open; the informed set only grows, so
-none opens again and each loop draws for exactly the open edges, in the
-pinned order. Every trajectory of :func:`run` equals the one that repeated
-:func:`step` calls produce on the same stream.
+For random-contact, :func:`run` draws uniforms ahead into one buffer and
+consumes them by cursor. A refill draws at least ``BLOCK_UNIFORMS // 4``
+uniforms, unless the buffer would then hold more than ``BLOCK_UNIFORMS``
+(or more than one loop needs, when that is larger). ``Generator.random``
+spends exactly one 64-bit word of the stream per double, so ``random(a)``
+followed by ``random(b)`` returns the same values as ``random(a + b)``:
+drawing ahead changes no value that any loop sees. It does leave the
+generator past the last uniform a loop used, which is exact only because
+the generator is private to :func:`run`. :func:`step` draws from the
+caller's generator, so it never draws ahead: it takes exactly two uniforms
+per acting vertex, through the same contact kernel as :func:`run`. Since
+the acting set cannot change until someone new is informed, a block of
+loops is evaluated at once; only the first informing loop is applied, and
+the uniforms of the loops after it stay buffered for the next block.
+Broadcast gathers only the CSR rows of its acting set, the informed
+vertices that may still have an uninformed neighbour. A vertex leaves it
+once none of its edges is open; the informed set only grows, so none opens
+again and each loop draws for exactly the open edges, in the pinned order.
+Every trajectory of :func:`run` equals the one that repeated :func:`step`
+calls produce on the same stream.
 """
 
 from __future__ import annotations
@@ -165,20 +172,19 @@ def _open_edges(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return targets[is_open], nbrw[edge[is_open]]
 
 
-def _contacts(g: Graph, mask: np.ndarray, act: np.ndarray,
+def _contacts(g: Graph, mask: np.ndarray, act: np.ndarray, keys: np.ndarray,
               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Targets of actors ``act`` over a block of loops, and which contacts
     inform someone new.
 
-    ``u`` holds the loops' uniforms as (loops, 2, actors): the pick row,
-    then the coin row, as one loop draws them. A contact informs when its
-    coin falls below the weight of edge {actor, target} and the target is
-    not in ``mask``.
+    ``keys`` is ``act * g.n``, the actors' pair-key rows. ``u`` holds the
+    loops' uniforms as (loops, 2, actors): the pick row, then the coin row,
+    as one loop draws them. A contact informs when its coin falls below the
+    weight of edge {actor, target} and the target is not in ``mask``.
     """
     targets = (u[:, 0] * (g.n - 1)).astype(np.int64)
     targets += targets >= act
-    weights = np.where(mask[targets], 0.0, g.pair_weights(act, targets))
-    return targets, u[:, 1] < weights
+    return targets, u[:, 1] < g._key_weights(keys + targets, mask[targets])
 
 
 def step(g: Graph, state: DiffusionState, model: ContactModel,
@@ -190,10 +196,10 @@ def step(g: Graph, state: DiffusionState, model: ContactModel,
         targets, weights = _open_edges(g, mask)
         new_mask[targets[rng.random(targets.size) < weights]] = True
     else:
-        act = np.flatnonzero(mask & (g.degrees() > 0))
+        act = (mask & (g.degrees() > 0)).nonzero()[0]
         if act.size:
             u = rng.random(2 * act.size).reshape(1, 2, act.size)
-            targets, hit = _contacts(g, mask, act, u)
+            targets, hit = _contacts(g, mask, act, act * g.n, u)
             new_mask[targets[hit]] = True
     informed = frozenset(np.flatnonzero(new_mask).tolist())
     return DiffusionState(informed, state.loop + 1)
@@ -273,35 +279,39 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                            rng: np.random.Generator) -> None:
     n = g.n
     has_edge = g.degrees() > 0
-    buf, pos = np.empty(0), 0  # drawn uniforms; buf[pos:] not yet consumed
+    # a block uses at most BLOCK_UNIFORMS uniforms, or one loop's 2a <= 2n
+    buf = np.empty(max(BLOCK_UNIFORMS, 2 * n))
+    pos = end = 0  # buf[pos:end] drawn, not yet consumed
     block = 1  # loops evaluated at once
     act = None  # vertices that act, fixed until someone new is informed
     while counts[-1] < n and len(counts) <= max_loops:
         if act is None:
-            act = np.flatnonzero(mask & has_edge)
-            if act.size == 0:
+            act = (mask & has_edge).nonzero()[0]
+            a = act.size
+            if a == 0:
                 return
-        a = act.size
-        block = min(block, max_loops + 1 - len(counts),
-                    max(1, BLOCK_UNIFORMS // (2 * a)))
+            keys = act * n
+            cap = max(1, BLOCK_UNIFORMS // (2 * a))
+        block = min(block, max_loops + 1 - len(counts), cap)
         need = 2 * a * block
-        if buf.size - pos < need:
-            buf = np.concatenate((buf[pos:],
-                                  rng.random(need - (buf.size - pos))))
+        rest = end - pos
+        if rest < need:
+            # drawing ahead is exact only because rng is private to run
+            buf[:rest] = buf[pos:end]
+            end = max(need, min(BLOCK_UNIFORMS, rest + BLOCK_UNIFORMS // 4))
+            rng.random(out=buf[rest:end])
             pos = 0
         targets, hit = _contacts(
-            g, mask, act, buf[pos:pos + need].reshape(block, 2, a))
-        first = int(hit.argmax())
-        if not hit.flat[first]:
+            g, mask, act, keys, buf[pos:pos + need].reshape(block, 2, a))
+        quiet, j = divmod(int(hit.argmax()), a)
+        if not hit[quiet, j]:
             counts.extend([counts[-1]] * block)
             pos += need
             block *= 2
             continue
         # apply the first informing loop only; later loops saw a stale set
-        quiet = first // a
         counts.extend([counts[-1]] * quiet)
-        newly = targets[quiet][hit[quiet]]
-        mask[newly] = True
+        mask[targets[quiet][hit[quiet]]] = True
         counts.append(int(np.count_nonzero(mask)))
         pos += 2 * a * (quiet + 1)
         block = max(1, 2 * quiet)

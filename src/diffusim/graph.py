@@ -195,15 +195,27 @@ class Graph:
         return float(self._nbrw[i]) if i >= 0 else 0.0
 
     def pair_weights(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`weight` for aligned endpoint arrays."""
+        """Vectorized :meth:`weight` for endpoint arrays that broadcast
+        together; the result has their broadcast shape."""
         self._adj()
-        keys = us.astype(np.int64) * self.n + vs.astype(np.int64)
-        if self._pair_keys.size == 0:
-            return np.zeros(keys.shape, dtype=np.float64)
-        pos = np.searchsorted(self._pair_keys, keys)
-        pos = np.minimum(pos, self._pair_keys.size - 1)
-        hit = self._pair_keys[pos] == keys
-        return np.where(hit, self._nbrw[pos], 0.0)
+        return self._key_weights(
+            us.astype(np.int64, copy=False) * self.n + vs, False)
+
+    def _key_weights(self, keys: np.ndarray,
+                     closed: np.ndarray | bool) -> np.ndarray:
+        """Weights of the pairs with int64 keys ``u * n + v``, in the shape
+        of ``keys``: 0.0 where {u, v} is no edge or ``closed`` is True.
+        The adjacency must be built."""
+        # ndarray methods and in-place updates: random-contact diffusion
+        # looks up one small block of contacts per call
+        pk = self._pair_keys
+        if pk.size == 0:
+            return np.zeros(keys.shape)
+        # searching all keys but the last clamps each position to the last
+        pos = pk[:-1].searchsorted(keys)
+        w = self._nbrw[pos]
+        w[(pk[pos] != keys) | closed] = 0.0
+        return w
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

@@ -402,8 +402,15 @@ def step_counts(g, cfg):
     return counts
 
 
-@pytest.mark.parametrize("model", list(ContactModel))
-def test_repeated_step_reproduces_run(model):
+# small caps put a block edge and a buffer refill every few loops; the
+# default cap (None) keeps the plain model id
+@pytest.mark.parametrize("model,block_uniforms", [
+    pytest.param(model, cap, id=str(model) + (f"-cap{cap}" if cap else ""))
+    for model in ContactModel for cap in (None, 1, 2, 7)])
+def test_repeated_step_reproduces_run(model, block_uniforms, monkeypatch):
+    if block_uniforms is not None:
+        monkeypatch.setattr("diffusim.diffusion.BLOCK_UNIFORMS",
+                            block_uniforms)
     # the last graph is large and sparse: many quiet loops per block
     graphs = [gen_scale_free(40, seed=3), gen_stochastic(30, seed=4),
               Graph(6, [(0, 1, 0.5), (1, 2, 0.0)]),

@@ -270,3 +270,28 @@ def test_array_integers_match_scalar_calls_near_2_32(seed, bounds):
 @pytest.mark.parametrize("seed", [0, 1, 2**63])
 def test_array_integers_match_scalar_calls_small_bounds(seed):
     assert_array_integers_match_scalar_calls(np.arange(2, 5001), seed)
+
+
+# --- random(a) then random(b) against one random(a + b) call ---------------
+# diffusion.run draws random-contact uniforms ahead, in refills whose sizes
+# need not match the loops that consume them; these pin the numpy behaviour
+# the draw-ahead rests on, on every numpy the CI runs
+
+@pytest.mark.parametrize("seed", [0, 2**63])
+@pytest.mark.parametrize("a,b", [
+    (0, 0), (0, 5), (5, 0), (1, 1), (3, 8188), (2048, 6144), (8191, 1),
+    (8192, 0), (0, 8193), (4097, 4097), (8192, 8192), (1, 20000)])
+def test_split_random_draws_match_one_call(seed, a, b):
+    rng = np.random.default_rng(seed)
+    want = rng.random(a + b)
+    got_rng = np.random.default_rng(seed)
+    got = np.concatenate((got_rng.random(a), got_rng.random(b)))
+    assert got.tolist() == want.tolist()
+    assert got_rng.bit_generator.state == rng.bit_generator.state
+    # the form run uses: each draw fills a slice of one buffer in place
+    out_rng = np.random.default_rng(seed)
+    out = np.empty(a + b)
+    out_rng.random(out=out[:a])
+    out_rng.random(out=out[a:])
+    assert out.tolist() == want.tolist()
+    assert out_rng.bit_generator.state == rng.bit_generator.state

@@ -65,6 +65,27 @@ def test_pair_weights_vectorized():
     us = np.array([0, 1, 0, 3])
     vs = np.array([1, 0, 3, 2])
     assert g.pair_weights(us, vs).tolist() == [0.25, 0.25, 0.0, 1.0]
+    # no edges at all
+    assert Graph(3).pair_weights(np.array([0, 2]),
+                                 np.array([1, 0])).tolist() == [0.0, 0.0]
+    # keys below the first pair key, 0 * 5 + 2, and above the last, 3 * 5 + 1
+    g = Graph(5, [(0, 2, 0.5), (1, 3, 0.75)])
+    assert g.pair_weights(np.array([0, 0, 4, 4, 3]),
+                          np.array([0, 1, 3, 4, 1])).tolist() == \
+        [0.0, 0.0, 0.0, 0.0, 0.75]
+    # a (block, actors) query comes back in its own shape
+    us = np.array([0, 1, 2])
+    vs = np.array([[2, 3, 0], [1, 0, 4]])
+    w = g.pair_weights(us, vs)
+    assert w.shape == (2, 3)
+    assert w.tolist() == [[0.5, 0.75, 0.5], [0.0, 0.0, 0.0]]
+    # int32 endpoints whose keys us * n + vs overflow int32
+    n = 70_000
+    g = Graph(n, (np.array([69_998]), np.array([69_999]), np.array([0.5])))
+    us = np.array([69_999, 69_998, 69_999], dtype=np.int32)
+    vs = np.array([69_998, 69_999, 69_997], dtype=np.int32)
+    assert (us * np.int32(n)).tolist() != (us.astype(np.int64) * n).tolist()
+    assert g.pair_weights(us, vs).tolist() == [0.5, 0.5, 0.0]
 
 
 @pytest.mark.parametrize("edges,msg", [
