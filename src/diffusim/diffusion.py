@@ -28,26 +28,27 @@ Consumption order is pinned so trajectories are reproducible anywhere:
    target selection, then one uniform per acting vertex (ascending) for
    the success check.
 
-For random-contact, :func:`run` draws uniforms ahead into one buffer and
+For random-contact, the engine draws uniforms ahead into one buffer and
 consumes them by cursor. A refill draws at least ``BLOCK_UNIFORMS // 4``
 uniforms, unless the buffer would then hold more than ``BLOCK_UNIFORMS``
-(or more than one loop needs, when that is larger). ``Generator.random``
-spends exactly one 64-bit word of the stream per double, so ``random(a)``
-followed by ``random(b)`` returns the same values as ``random(a + b)``:
-drawing ahead changes no value that any loop sees. It does leave the
-generator past the last uniform a loop used, which is exact only because
-the generator is private to :func:`run`. :func:`step` draws from the
-caller's generator, so it never draws ahead: it takes exactly two uniforms
-per acting vertex, through the same contact kernel as :func:`run`. Since
-the acting set cannot change until someone new is informed, a block of
-loops is evaluated at once; only the first informing loop is applied, and
-the uniforms of the loops after it stay buffered for the next block.
+(or more than one loop needs, when that is larger), and it never draws
+past the last loop of the budget. ``Generator.random`` spends exactly one
+64-bit word of the stream per double, so ``random(a)`` followed by
+``random(b)`` returns the same values as ``random(a + b)``: drawing ahead
+changes no value that any loop sees. It can leave :func:`run`'s generator,
+which is private to it, past the last uniform a loop used. Since the
+acting set cannot change until someone new is informed, a block of loops
+is evaluated at once; only the first informing loop is applied, and the
+uniforms of the loops after it stay buffered for the next block.
 Broadcast gathers only the CSR rows of its acting set, the informed
 vertices that may still have an uninformed neighbour. A vertex leaves it
 once none of its edges is open; the informed set only grows, so none opens
 again and each loop draws for exactly the open edges, in the pinned order.
-Every trajectory of :func:`run` equals the one that repeated :func:`step`
-calls produce on the same stream.
+
+:func:`step` is one loop of the engine that :func:`run` uses, on the
+caller's generator. A one-loop budget draws exactly what that loop needs,
+so every trajectory of :func:`run` equals the one that repeated
+:func:`step` calls produce on the same stream.
 """
 
 from __future__ import annotations
@@ -128,7 +129,11 @@ class DiffusionState:
         """Boolean membership array of length n."""
         m = np.zeros(n, dtype=bool)
         if self.informed:
-            m[list(self.informed)] = True
+            ids = np.array(list(self.informed))
+            if ids.min() < 0 or ids.max() >= n:
+                bad = ids[(ids < 0) | (ids >= n)][0]
+                raise ValueError(f"vertex id {bad} outside [0, {n})")
+            m[ids] = True
         return m
 
 
@@ -162,16 +167,6 @@ def init_state(g: Graph, cfg: SimulationConfig,
     return DiffusionState(frozenset(np.flatnonzero(mask).tolist()), 0)
 
 
-def _open_edges(g: Graph, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Targets and weights of every edge from an informed to an uninformed
-    vertex, in broadcast draw order (source asc, then target asc)."""
-    _, nbr, nbrw = g._adj()
-    edge = g._gather(np.flatnonzero(mask))
-    targets = nbr[edge]
-    is_open = ~mask[targets]
-    return targets[is_open], nbrw[edge[is_open]]
-
-
 def _contacts(g: Graph, mask: np.ndarray, act: np.ndarray, keys: np.ndarray,
               u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Targets of actors ``act`` over a block of loops, and which contacts
@@ -189,19 +184,11 @@ def _contacts(g: Graph, mask: np.ndarray, act: np.ndarray, keys: np.ndarray,
 
 def step(g: Graph, state: DiffusionState, model: ContactModel,
          rng: np.random.Generator) -> DiffusionState:
-    """Advance one loop; the informed set can only grow."""
+    """Advance one loop of :func:`run`'s engine, drawing from ``rng``; the
+    informed set can only grow."""
     mask = state.mask(g.n)
-    new_mask = mask.copy()
-    if ContactModel(model) is ContactModel.BROADCAST:
-        targets, weights = _open_edges(g, mask)
-        new_mask[targets[rng.random(targets.size) < weights]] = True
-    else:
-        act = (mask & (g.degrees() > 0)).nonzero()[0]
-        if act.size:
-            u = rng.random(2 * act.size).reshape(1, 2, act.size)
-            targets, hit = _contacts(g, mask, act, act * g.n, u)
-            new_mask[targets[hit]] = True
-    informed = frozenset(np.flatnonzero(new_mask).tolist())
+    _SPREAD[ContactModel(model)](g, mask, [len(state.informed)], 1, rng)
+    informed = frozenset(np.flatnonzero(mask).tolist())
     return DiffusionState(informed, state.loop + 1)
 
 
@@ -242,9 +229,8 @@ def run(g: Graph, cfg: SimulationConfig) -> TrajectoryRecord:
     rng = make_rng(cfg.seed)
     mask = _initial_mask(g, cfg, rng)
     counts = [int(np.count_nonzero(mask))]
-    spread = (_spread_broadcast if cfg.model is ContactModel.BROADCAST
-              else _spread_random_contact)
-    spread(g, mask, counts, cfg.max_loops, rng)
+    if counts[0] < g.n:
+        _SPREAD[cfg.model](g, mask, counts, cfg.max_loops, rng)
     if counts[-1] < g.n:
         # the spread stops early only when nothing can act: the remaining
         # loops draw nothing and change nothing
@@ -254,22 +240,29 @@ def run(g: Graph, cfg: SimulationConfig) -> TrajectoryRecord:
 
 # Each spread appends one count per loop to ``counts`` until saturation,
 # the loop budget, or a state in which nothing can act; run pads the rest.
+# Saturation and the budget are checked after a loop, so a one-loop step
+# does no work for a next loop, and a step from a saturated state still
+# draws what the contract asks (random-contact: two per actor); run skips
+# the spread when loop 0 is saturated.
 
 def _spread_broadcast(g: Graph, mask: np.ndarray, counts: list[int],
                       max_loops: int, rng: np.random.Generator) -> None:
     _, nbr, nbrw = g._adj()
     act = np.flatnonzero(mask)  # ascending; holds every open edge's source
-    while counts[-1] < g.n and len(counts) <= max_loops:
+    while True:
         edge = g._gather(act)
         is_open = ~mask[nbr[edge]]
         if not is_open.any():
             return
-        edge, sources = edge[is_open], act.repeat(g.degrees()[act])[is_open]
+        edge = edge[is_open]
         targets = nbr[edge]
         hit = rng.random(targets.size) < nbrw[edge]
         mask[targets[hit]] = True
         counts.append(int(np.count_nonzero(mask)))
+        if counts[-1] == g.n or len(counts) > max_loops:
+            return
         # keep the sources with an edge still open, add the newly informed
+        sources = act.repeat(g.degrees()[act])[is_open]
         act = np.sort(np.concatenate((sources[~mask[targets]], targets[hit])))
         act = act[np.diff(act, prepend=-1) > 0]  # np.unique is slower
 
@@ -284,7 +277,7 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
     pos = end = 0  # buf[pos:end] drawn, not yet consumed
     block = 1  # loops evaluated at once
     act = None  # vertices that act, fixed until someone new is informed
-    while counts[-1] < n and len(counts) <= max_loops:
+    while len(counts) <= max_loops:
         if act is None:
             act = (mask & has_edge).nonzero()[0]
             a = act.size
@@ -292,13 +285,16 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                 return
             keys = act * n
             cap = max(1, BLOCK_UNIFORMS // (2 * a))
-        block = min(block, max_loops + 1 - len(counts), cap)
+        left = max_loops + 1 - len(counts)
+        block = min(block, left, cap)
         need = 2 * a * block
         rest = end - pos
         if rest < need:
-            # drawing ahead is exact only because rng is private to run
+            # never past the budget's last loop, so a one-loop step draws
+            # exactly 2a; any further ahead is private to run's generator
             buf[:rest] = buf[pos:end]
-            end = max(need, min(BLOCK_UNIFORMS, rest + BLOCK_UNIFORMS // 4))
+            end = max(need, min(BLOCK_UNIFORMS, rest + BLOCK_UNIFORMS // 4,
+                                2 * a * left))
             rng.random(out=buf[rest:end])
             pos = 0
         targets, hit = _contacts(
@@ -313,6 +309,12 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
         counts.extend([counts[-1]] * quiet)
         mask[targets[quiet][hit[quiet]]] = True
         counts.append(int(np.count_nonzero(mask)))
+        if counts[-1] == n:
+            return
         pos += 2 * a * (quiet + 1)
         block = max(1, 2 * quiet)
         act = None
+
+
+_SPREAD = {ContactModel.BROADCAST: _spread_broadcast,
+           ContactModel.RANDOM_CONTACT: _spread_random_contact}

@@ -175,24 +175,15 @@ class Graph:
         return nbrw[indptr[v]:indptr[v + 1]]
 
     def has_edge(self, u: int, v: int) -> bool:
-        u = self._check_vertex(u)
-        v = self._check_vertex(v)
-        return self._pair_index(u, v) >= 0
-
-    def _pair_index(self, u: int, v: int) -> int:
-        self._adj()
-        key = np.int64(u) * self.n + np.int64(v)
-        pos = int(np.searchsorted(self._pair_keys, key))
-        if pos < self._pair_keys.size and self._pair_keys[pos] == key:
-            return pos
-        return -1
+        """Whether {u, v} is an edge, whatever its weight."""
+        nbr = self.neighbors(u)
+        return bool((nbr == self._check_vertex(v)).any())
 
     def weight(self, u: int, v: int) -> float:
         """Weight of edge {u, v}; 0.0 when the pair is not connected."""
         u = self._check_vertex(u)
         v = self._check_vertex(v)
-        i = self._pair_index(u, v)
-        return float(self._nbrw[i]) if i >= 0 else 0.0
+        return float(self.pair_weights(np.array([u]), np.array([v]))[0])
 
     def pair_weights(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`weight` for endpoint arrays that broadcast

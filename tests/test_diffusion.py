@@ -445,7 +445,7 @@ STREAM_GRAPH = Graph(6, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.2),
                          (3, 4, 1.0)])
 
 
-@pytest.mark.parametrize("model,informed,draws", [
+STEP_DRAWS = [
     # broadcast: one uniform per edge from an informed to an uninformed
     # vertex: 0->1, 3->2, 3->4
     (ContactModel.BROADCAST, {0, 3, 5}, 3),
@@ -453,8 +453,22 @@ STREAM_GRAPH = Graph(6, [(0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.5), (0, 3, 0.2),
     # random-contact: two per informed vertex with an edge, saturated or not
     (ContactModel.RANDOM_CONTACT, {0, 3, 5}, 4),
     (ContactModel.RANDOM_CONTACT, set(range(6)), 10),
-])
-def test_step_consumes_contract_count(model, informed, draws):
+]
+
+
+# step runs through the engine's blocks and refills, so small caps must
+# not make it draw ahead; the default cap (None) keeps the plain id
+@pytest.mark.parametrize("model,informed,draws,block_uniforms", [
+    pytest.param(model, informed, draws, cap,
+                 id=f"{model}-informed{i}-{draws}" + (f"-cap{cap}" if cap
+                                                      else ""))
+    for i, (model, informed, draws) in enumerate(STEP_DRAWS)
+    for cap in (None, 1, 2, 7)])
+def test_step_consumes_contract_count(model, informed, draws, block_uniforms,
+                                      monkeypatch):
+    if block_uniforms is not None:
+        monkeypatch.setattr("diffusim.diffusion.BLOCK_UNIFORMS",
+                            block_uniforms)
     rng = np.random.default_rng(11)
     ref = np.random.default_rng(11)
     ref.random(draws)
@@ -462,6 +476,17 @@ def test_step_consumes_contract_count(model, informed, draws):
                  model, rng)
     assert state.loop == 5 and state.informed >= informed
     assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("model", list(ContactModel), ids=str)
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_step_rejects_vertex_id_outside_graph(model, bad):
+    # a negative id must not wrap around to vertex n - 1
+    state = DiffusionState(frozenset({0, bad}), 0)
+    with pytest.raises(ValueError, match=f"vertex id {bad} outside"):
+        step(STREAM_GRAPH, state, model, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"outside \[0, 6\)"):
+        state.mask(6)
 
 
 # --- exact laws: the Reed-Frost chain and the push protocol ------------------

@@ -58,6 +58,19 @@ def test_weight_lookup():
     assert g.weight(0, 2) == 0.0
     assert g.has_edge(2, 3)
     assert not g.has_edge(0, 3)
+    # a zero-weight edge is still an edge
+    g = Graph(3, [(0, 2, 0.0), (1, 2, 0.5)])
+    assert g.has_edge(0, 2) and g.has_edge(2, 0)
+    assert g.weight(0, 2) == 0.0 and g.weight(2, 1) == 0.5
+    # no self-pair is an edge
+    assert not g.has_edge(2, 2) and g.weight(2, 2) == 0.0
+    edgeless = Graph(3)
+    assert not edgeless.has_edge(0, 1) and edgeless.weight(0, 1) == 0.0
+    for u, v in [(-1, 0), (0, -1), (3, 0), (0, 3)]:
+        with pytest.raises(ValueError):
+            g.has_edge(u, v)
+        with pytest.raises(ValueError):
+            g.weight(u, v)
 
 
 def test_pair_weights_vectorized():
