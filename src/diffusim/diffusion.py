@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generators import make_rng
-from .graph import Graph
+from .graph import Graph, _vertex_ids
 
 # Most uniforms one random-contact block evaluates: the buffer stays at
 # 64 kB and each per-contact temporary at 32 kB. With twice the cap, the
@@ -108,7 +108,7 @@ class SimulationConfig:
         if self.max_loops < 1:
             raise ValueError(f"max_loops must be >= 1, got {self.max_loops}")
         if self.initial_vertices is not None:
-            verts = tuple(int(v) for v in self.initial_vertices)
+            verts = tuple(_vertex_ids(list(self.initial_vertices)).tolist())
             if len(set(verts)) != len(verts):
                 raise ValueError("initial_vertices contains duplicates")
             if len(verts) != self.initial_informed:
@@ -127,14 +127,14 @@ class DiffusionState:
 
     def mask(self, n: int) -> np.ndarray:
         """Boolean membership array of length n."""
-        m = np.zeros(n, dtype=bool)
-        if self.informed:
-            ids = np.array(list(self.informed))
-            if ids.min() < 0 or ids.max() >= n:
-                bad = ids[(ids < 0) | (ids >= n)][0]
-                raise ValueError(f"vertex id {bad} outside [0, {n})")
-            m[ids] = True
-        return m
+        return _mask(n, list(self.informed))
+
+
+def _mask(n: int, ids) -> np.ndarray:
+    """Boolean membership array of length n of the vertex ids ``ids``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[_vertex_ids(ids, n)] = True
+    return mask
 
 
 def _initial_mask(g: Graph, cfg: SimulationConfig,
@@ -142,17 +142,12 @@ def _initial_mask(g: Graph, cfg: SimulationConfig,
     if not 1 <= cfg.initial_informed <= g.n:
         raise ValueError(
             f"initial_informed must be in [1, {g.n}], got {cfg.initial_informed}")
-    mask = np.zeros(g.n, dtype=bool)
     if cfg.initial_vertices is not None:
-        verts = cfg.initial_vertices
-        if any(not 0 <= v < g.n for v in verts):
-            raise ValueError("initial vertex id outside [0, n)")
-        mask[list(verts)] = True
-    else:
-        if rng is None:
-            rng = make_rng(cfg.seed)
-        mask[rng.choice(g.n, size=cfg.initial_informed, replace=False)] = True
-    return mask
+        return _mask(g.n, cfg.initial_vertices)
+    if rng is None:
+        rng = make_rng(cfg.seed)
+    return _mask(g.n, rng.choice(g.n, size=cfg.initial_informed,
+                                 replace=False))
 
 
 def init_state(g: Graph, cfg: SimulationConfig,
@@ -209,15 +204,18 @@ class TrajectoryRecord:
 
     def first_loop_reaching(self, count: int) -> int | None:
         """First loop with at least ``count`` informed, else None."""
-        for loop, c in enumerate(self.counts):
-            if c >= count:
-                return loop
-        return None
+        loop = int(_first_loops(np.array(self.counts) >= count))
+        return None if loop < 0 else loop
 
     def to_csv(self) -> str:
         lines = ["loop,informed_count"]
         lines.extend(f"{loop},{c}" for loop, c in enumerate(self.counts))
         return "\n".join(lines) + "\n"
+
+
+def _first_loops(reached: np.ndarray) -> np.ndarray:
+    """Along the last axis, the first loop where ``reached`` holds, else -1."""
+    return np.where(reached.any(axis=-1), reached.argmax(axis=-1), -1)
 
 
 def run(g: Graph, cfg: SimulationConfig) -> TrajectoryRecord:

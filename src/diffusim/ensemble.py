@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import SimulationConfig, run
+from .diffusion import SimulationConfig, _first_loops, run
 from .generators import GeneratorSpec
 from .graph import Graph
 
@@ -172,11 +172,6 @@ class EnsembleSummary:
             "threshold_fraction": THRESHOLD_FRACTION,
             "threshold": self.threshold.to_json_dict(),
         }
-
-
-def _first_loops(reached: np.ndarray) -> np.ndarray:
-    """Per row, the first loop at which ``reached`` holds, else -1."""
-    return np.where(reached.any(axis=1), reached.argmax(axis=1), -1)
 
 
 def _aggregate(n: int, trajectories: list[list[int]]) -> EnsembleSummary:

@@ -31,6 +31,28 @@ __all__ = [
 ]
 
 
+def _vertex_ids(values, n: int | None = None) -> np.ndarray:
+    """Vertex ids as int64, compared exactly with ``values``: integers and
+    integral floats pass; fractions, strings, non-finite values and ids
+    beyond int64 raise ValueError, as does, given ``n``, the first id
+    outside [0, n). Every vertex id and count entering goes through it."""
+    ids = np.asarray(values)
+    if ids.dtype != np.int64:
+        # compared as Python numbers: a float64 array of a list's values
+        # would round ids beyond 2**53
+        cells = np.array(values, dtype=object)
+        try:
+            ids = cells.astype(np.int64)
+        except (TypeError, ValueError, OverflowError):
+            ids = None
+        if ids is None or not (ids == cells).all():
+            raise ValueError("vertex ids and counts must be integers")
+    if n is not None and ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)][0]
+        raise ValueError(f"vertex id {bad} outside [0, {n})")
+    return ids
+
+
 class Graph:
     """Immutable undirected graph with per-edge probabilities.
 
@@ -41,38 +63,40 @@ class Graph:
     edges : iterable of (u, v, w) triples, or a (u, v, w) array triple
         Unordered edges with weights. Self-loops, duplicate pairs,
         out-of-range vertex ids and weights outside [0, 1] are rejected.
+        ``n`` and vertex ids, here and in every query, must be integral
+        numbers compared exactly: ``2.0`` passes, ``2.5`` and ``"2"`` raise.
     """
 
     __slots__ = ("n", "_eu", "_ev", "_ew", "_indptr", "_nbr", "_nbrw",
                  "_pair_keys", "_degrees")
 
     def __init__(self, n: int, edges: Iterable = ()) -> None:
-        if n < 0:
-            raise ValueError(f"vertex count must be >= 0, got {n}")
-        self.n = int(n)
+        count = _vertex_ids(n)
+        if count.ndim or count < 0:
+            raise ValueError(f"vertex count must be an integer >= 0, got {n}")
+        self.n = n = count.item()
 
         if isinstance(edges, tuple) and len(edges) == 3 and \
                 all(isinstance(a, np.ndarray) for a in edges):
-            eu = np.asarray(edges[0], dtype=np.int64)
-            ev = np.asarray(edges[1], dtype=np.int64)
-            ew = np.asarray(edges[2], dtype=np.float64)
+            eu, ev, ew = edges
         else:
             triples = list(edges)
-            eu = np.array([t[0] for t in triples], dtype=np.int64)
-            ev = np.array([t[1] for t in triples], dtype=np.int64)
-            ew = np.array([t[2] for t in triples], dtype=np.float64)
+            eu, ev, ew = ([t[i] for t in triples] for i in range(3))
+        eu = _vertex_ids(eu, n)
+        ev = _vertex_ids(ev, n)
+        ew = np.asarray(ew)
 
         if not (eu.shape == ev.shape == ew.shape):
             raise ValueError("edge arrays must have identical length")
         if eu.size:
-            if eu.min() < 0 or ev.min() < 0 or eu.max() >= n or ev.max() >= n:
-                raise ValueError("edge endpoint outside [0, n)")
             if (eu == ev).any():
                 bad = int(eu[eu == ev][0])
                 raise ValueError(f"self-loop on vertex {bad} not allowed")
-            # written so that NaN, which fails every comparison, is rejected
-            if not ((ew >= 0.0) & (ew <= 1.0)).all():
-                raise ValueError("edge weights must lie in [0, 1]")
+            # numbers only, written so that NaN (unequal to all) is rejected
+            if ew.dtype.kind not in "iuf" or \
+                    not ((ew >= 0.0) & (ew <= 1.0)).all():
+                raise ValueError("edge weights must be numbers in [0, 1]")
+        ew = ew.astype(np.float64, copy=False)
 
         # canonical order: u < v, then lexicographic. Input that already
         # strictly increases in that order has no duplicate and skips the
@@ -146,10 +170,7 @@ class Graph:
     # -- queries --------------------------------------------------------------
 
     def _check_vertex(self, v: int) -> int:
-        v = int(v)
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex id {v} outside [0, {self.n})")
-        return v
+        return _vertex_ids(v, self.n).item()
 
     def degree(self, v: int) -> int:
         """Number of edges incident to vertex v."""
@@ -181,9 +202,8 @@ class Graph:
 
     def weight(self, u: int, v: int) -> float:
         """Weight of edge {u, v}; 0.0 when the pair is not connected."""
-        u = self._check_vertex(u)
-        v = self._check_vertex(v)
-        return float(self.pair_weights(np.array([u]), np.array([v]))[0])
+        uv = _vertex_ids([u, v], self.n)
+        return float(self.pair_weights(uv[:1], uv[1:])[0])
 
     def pair_weights(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`weight` for endpoint arrays that broadcast

@@ -6,7 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffusim import (
+    DiffusionState,
     Graph,
+    SimulationConfig,
     bfs_distances,
     connected_components,
     degree_histogram,
@@ -109,10 +111,37 @@ def test_pair_weights_vectorized():
     ([(0, 1, 1.0), (1, 0, 0.5)], "duplicate"),
     ([(0, 1, 1.0), (0, 1, 0.5)], "duplicate"),
     ([(0, 1, 1.0), (1, 2, 1.0), (1, 2, 0.5)], "duplicate"),
+    ([(0.5, 2, 1.0)], "integers"),
+    ([("1", 2, 1.0)], "integers"),
+    ([(0, 1, "0.5")], "weights"),
 ])
 def test_construction_rejects_invalid_edges(edges, msg):
     with pytest.raises(ValueError, match=msg):
         Graph(3, edges)
+
+
+G3 = Graph(3, [(0, 1, 0.5), (1, 2, 1.0)])
+
+
+@pytest.mark.parametrize("bad,call", [
+    (2.5, lambda v: Graph(v)),
+    ("3", lambda v: Graph(v)),
+    (1.7, lambda v: Graph(3, (np.array([0.0]), np.array([v]),
+                              np.array([0.5])))),
+    (0.6, lambda v: SimulationConfig("broadcast", 1, 5, seed=0,
+                                     initial_vertices=(v,))),
+    (0.9, lambda v: G3.weight(v, 1)),
+    (1.99, lambda v: G3.degree(v)),
+    (0.7, lambda v: bfs_distances(G3, v).tolist()),
+    (0.5, lambda v: DiffusionState(frozenset({v}), 0).mask(3).tolist()),
+], ids=["n", "n-str", "float-edge-array", "initial-vertex", "weight",
+        "degree", "bfs-source", "state-mask"])
+def test_vertex_ids_must_be_integral(bad, call):
+    # a fraction or a string is never truncated or parsed into an id
+    with pytest.raises(ValueError, match="must be integers"):
+        call(bad)
+    for good in (2.0, np.int32(1), np.float64(1.0)):
+        assert call(good) == call(int(good))
 
 
 def test_construction_sorts_only_out_of_order_input():

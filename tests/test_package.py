@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import diffusim
 
 # the package's public surface; adding or dropping a name is an API change
@@ -28,3 +33,14 @@ def test_every_public_name_resolves():
     for name in diffusim.__all__:
         assert getattr(diffusim, name) is not None, name
 
+
+
+def test_module_entry_point_prints_version():
+    # python -m diffusim runs __main__.py, which no in-process test imports
+    src = str(Path(diffusim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-m", "diffusim", "--version"],
+                         env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout.strip() == diffusim.__version__
