@@ -208,7 +208,7 @@ def _aggregate(n: int, trajectories: list[list[int]]) -> EnsembleSummary:
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     """Execute the replications and aggregate their trajectories."""
     fixed_graph: Graph | None = None
-    if not cfg.regenerate_graph or cfg.generator.family == "complete":
+    if not cfg.regenerate_graph or cfg.generator.seed is None:
         fixed_graph = cfg.generator.build()
 
     trajectories: list[list[int]] = []

@@ -1,5 +1,9 @@
 """Deterministic generators for the four network families.
 
+``GeneratorSpec`` is the one place a family is checked and built: each
+``gen_*`` function is one ``GeneratorSpec(...).build()`` call, and every
+family but complete needs an integer seed.
+
 All randomness comes from numpy's PCG64 generator (``np.random.default_rng``),
 whose bit stream is stable across platforms and numpy releases, so the same
 (family, parameters, seed) always yields the same graph.
@@ -78,62 +82,41 @@ class GeneratorSpec:
             raise ValueError(f"family {self.family!r} requires a seed")
 
     def build(self) -> Graph:
-        if self.family == "complete":
-            return gen_complete(self.n)
+        """The graph of this family, size and seed."""
+        if self.family == "scale-free":
+            return _grow_scale_free(self.n, self.seed)
+        # complete, random and stochastic: one draw per unordered pair, in
+        # the documented lexicographic order of np.triu_indices
+        rng = None if self.seed is None else make_rng(self.seed)
+        u, v = np.triu_indices(self.n, k=1)
+        w = None
         if self.family == "random":
-            return gen_random(self.n, self.edge_prob, self.seed)
-        if self.family == "stochastic":
-            return gen_stochastic(self.n, self.seed)
-        return gen_scale_free(self.n, self.seed)
+            keep = rng.random(u.size) < self.edge_prob
+            u, v = u[keep], v[keep]
+        elif self.family == "stochastic":
+            w = rng.random(u.size)
+        return Graph(self.n, (u.astype(np.int64), v.astype(np.int64),
+                              np.ones(u.size, dtype=np.float64)
+                              if w is None else w))
 
-    def with_seed(self, seed: int | None) -> "GeneratorSpec":
-        """Copy of this spec with a different seed (dropped for complete)."""
-        if self.family == "complete":
-            return self
+    def with_seed(self, seed: int) -> "GeneratorSpec":
+        """Copy of this spec with a different seed."""
         return GeneratorSpec(self.family, self.n, self.edge_prob, seed)
-
-
-def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # np.triu_indices enumerates pairs in the documented lexicographic order
-    return np.triu_indices(n, k=1)
 
 
 def gen_complete(n: int) -> Graph:
     """Complete graph: every pair connected with weight 1.0."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    u, v = _pair_indices(n)
-    return Graph(n, (u.astype(np.int64), v.astype(np.int64),
-                     np.ones(u.size, dtype=np.float64)))
+    return GeneratorSpec("complete", n).build()
 
 
 def gen_random(n: int, edge_prob: float = 0.5, seed: int = 0) -> Graph:
     """Each pair independently gets a weight-1.0 edge with edge_prob."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    if not 0.0 <= edge_prob <= 1.0:
-        raise ValueError(f"edge_prob must be in [0, 1], got {edge_prob}")
-    rng = make_rng(seed)
-    u, v = _pair_indices(n)
-    keep = rng.random(u.size) < edge_prob
-    u, v = u[keep], v[keep]
-    return Graph(n, (u.astype(np.int64), v.astype(np.int64),
-                     np.ones(u.size, dtype=np.float64)))
+    return GeneratorSpec("random", n, edge_prob, seed).build()
 
 
 def gen_stochastic(n: int, seed: int = 0) -> Graph:
     """Every pair connected with an i.i.d. uniform [0, 1] weight."""
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
-    rng = make_rng(seed)
-    u, v = _pair_indices(n)
-    w = rng.random(u.size)
-    return Graph(n, (u.astype(np.int64), v.astype(np.int64), w))
-
-
-# rejects trees whose edge arrays alone would need tens of GB before
-# anything is allocated
-_MAX_SCALE_FREE_N = 2**31 + 1
+    return GeneratorSpec("stochastic", n, None, seed).build()
 
 
 def gen_scale_free(n: int, seed: int = 0) -> Graph:
@@ -143,18 +126,27 @@ def gen_scale_free(n: int, seed: int = 0) -> Graph:
     (degree-proportional choice is undefined while all degrees are 0).
     Every later vertex t picks its target with probability proportional
     to the target's current degree, so the result is a connected tree
-    with n - 1 edges and a heavy-tailed degree distribution.
+    with n - 1 edges and a heavy-tailed degree distribution. n above
+    ``_MAX_SCALE_FREE_N`` is rejected.
+    """
+    return GeneratorSpec("scale-free", n, None, seed).build()
+
+
+# rejects trees whose edge arrays alone would need tens of GB before
+# anything is allocated
+_MAX_SCALE_FREE_N = 2**31 + 1
+
+
+def _grow_scale_free(n: int, seed: int) -> Graph:
+    """``gen_scale_free``'s tree, for n >= 1.
 
     Vertex t's pick is ``rng.integers(0, 2(t-1))`` into a pool holding
     every vertex once per unit of degree: pool[0] is 0, pool[2j+1] is
     vertex j+1 and pool[2j] is the target of vertex j+1. One
     ``rng.integers(0, bounds)`` call over the array of pool sizes draws all
     picks at once; numpy draws each element as a scalar call with that
-    bound would. Pointer jumping resolves the even picks' references. n
-    above ``_MAX_SCALE_FREE_N`` is rejected.
+    bound would. Pointer jumping resolves the even picks' references.
     """
-    if n < 1:
-        raise ValueError(f"vertex count must be >= 1, got {n}")
     if n > _MAX_SCALE_FREE_N:
         raise ValueError(
             f"scale-free vertex count must be <= {_MAX_SCALE_FREE_N}, got {n}")

@@ -53,6 +53,15 @@ def _vertex_ids(values, n: int | None = None) -> np.ndarray:
     return ids
 
 
+def _edge_columns(triples) -> tuple[list, list, list]:
+    """The u, v and w columns of a sequence of (u, v, w) triples; any other
+    item length raises ValueError."""
+    # len over every item at C speed: a JSON dump passes one row per edge
+    if triples and set(map(len, triples)) != {3}:
+        raise ValueError("edges must be [u, v, w] triples")
+    return tuple([t[i] for t in triples] for i in range(3))
+
+
 class Graph:
     """Immutable undirected graph with per-edge probabilities.
 
@@ -80,14 +89,13 @@ class Graph:
                 all(isinstance(a, np.ndarray) for a in edges):
             eu, ev, ew = edges
         else:
-            triples = list(edges)
-            eu, ev, ew = ([t[i] for t in triples] for i in range(3))
+            eu, ev, ew = _edge_columns(list(edges))
         eu = _vertex_ids(eu, n)
         ev = _vertex_ids(ev, n)
         ew = np.asarray(ew)
 
-        if not (eu.shape == ev.shape == ew.shape):
-            raise ValueError("edge arrays must have identical length")
+        if not (eu.ndim == 1 and eu.shape == ev.shape == ew.shape):
+            raise ValueError("edge arrays must be 1-D, of identical length")
         if eu.size:
             if (eu == ev).any():
                 bad = int(eu[eu == ev][0])

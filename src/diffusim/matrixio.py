@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .graph import Graph, _vertex_ids
+from .graph import Graph, _edge_columns, _vertex_ids
 
 __all__ = [
     "MatrixFormatError",
@@ -164,10 +164,7 @@ def graph_from_json(text: str) -> Graph:
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON graph dump: {exc}") from exc
     try:
-        rows = payload["edges"]
-        if rows and set(map(len, rows)) != {3}:
-            raise ValueError("edges must be [u, v, w] triples")
-        u, v, w = ([row[i] for row in rows] for i in range(3))
+        u, v, w = _edge_columns(payload["edges"])
         edges = (_vertex_ids(u), _vertex_ids(v), np.array(w))
         return Graph(payload["n"], edges)
     except (KeyError, TypeError) as exc:

@@ -513,3 +513,54 @@ def test_generate_scale_free_beyond_32_bit_draws_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "2147483649" in err
+
+
+@pytest.mark.parametrize("args,msg", [
+    (["--graph", "{graph}", "--family", "complete"], "not both"),
+    (["--graph", "{graph}", "--replications", "3"], "cannot be regenerated"),
+    (["--family", "random"], "--family requires --n"),
+])
+def test_simulate_conflicting_inputs_exit_2(tmp_path, capsys, args, msg):
+    graph = tmp_path / "path.graph.json"
+    graph.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+                     encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", *(a.format(graph=graph) for a in args),
+                 "--outdir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert msg in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reproduce_requires_figure(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["reproduce", "--seed", "1", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--figure is required" in capsys.readouterr().err
+
+
+def test_simulate_missing_config_exit_1(tmp_path, capsys):
+    assert run_cli(["simulate", "--config", str(tmp_path / "missing.ini"),
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config file not found")
+
+
+def test_analyze_path_length(tmp_path, capsys):
+    graph = tmp_path / "path.graph.json"
+    graph.write_text('{"n": 4, "edges": [[0, 1, 1.0], [1, 2, 0.5]]}',
+                     encoding="utf-8")
+    assert run_cli(["analyze", "--graph", str(graph),
+                    "--stat", "path-length"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"n": 4, "characteristic_path_length": 4 / 3,
+                   "connected": False, "component_size": 3}
+
+
+def test_simulate_unsaturated_run_reports_loops(tmp_path, capsys):
+    # an edgeless graph informs nobody, so the run stops at its budget
+    assert run_cli(["simulate", "--family", "random", "--n", "10",
+                    "--edge-prob", "0", "--max-loops", "3",
+                    "--outdir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "initial=1: not saturated within 3 loops (final informed 1)" in out

@@ -54,6 +54,28 @@ def test_spec_build_dispatch():
     assert GeneratorSpec("random", 4, 1.0, 1).build().edge_count == 6
     assert GeneratorSpec("stochastic", 4, None, 1).build().edge_count == 6
     assert GeneratorSpec("scale-free", 4, None, 1).build().edge_count == 3
+    # each gen_* builds exactly what its spec builds
+    assert gen_complete(7) == GeneratorSpec("complete", 7).build()
+    for seed in (3, 2**40 + 1):
+        assert gen_random(30, 0.3, seed) == \
+            GeneratorSpec("random", 30, 0.3, seed).build()
+        assert gen_stochastic(30, seed) == \
+            GeneratorSpec("stochastic", 30, None, seed).build()
+        assert gen_scale_free(30, seed) == \
+            GeneratorSpec("scale-free", 30, None, seed).build()
+
+
+@pytest.mark.parametrize("gen", [gen_random, gen_stochastic, gen_scale_free])
+def test_gen_rejects_zero_vertices(gen):
+    with pytest.raises(ValueError, match="vertex count must be >= 1"):
+        gen(0)
+
+
+def test_gen_random_requires_seed_and_defaults_edge_prob():
+    # a missing seed never falls back to an entropy-seeded graph
+    with pytest.raises(ValueError, match="requires a seed"):
+        gen_random(5, 0.5, seed=None)
+    assert gen_random(5, None, seed=1) == gen_random(5, 0.5, seed=1)
 
 
 # --- complete ----------------------------------------------------------------

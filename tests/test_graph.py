@@ -114,6 +114,10 @@ def test_pair_weights_vectorized():
     ([(0.5, 2, 1.0)], "integers"),
     ([("1", 2, 1.0)], "integers"),
     ([(0, 1, "0.5")], "weights"),
+    ((np.array([[0, 1]]), np.array([[1, 2]]), np.array([[0.5, 0.5]])),
+     "1-D"),
+    ([(0, 1)], "triples"),
+    ([(0, 1, 0.5, 7)], "triples"),
 ])
 def test_construction_rejects_invalid_edges(edges, msg):
     with pytest.raises(ValueError, match=msg):
