@@ -25,7 +25,7 @@ from .analysis import (characteristic_path_length, clustering_coefficient,
                        fit_power_law)
 from .diffusion import ContactModel, SimulationConfig, run
 from .ensemble import EnsembleConfig, compare_ensembles, run_ensemble
-from .generators import FAMILIES, GeneratorSpec
+from .generators import FAMILIES, GeneratorSpec, _seed
 from .graph import Graph, degree_histogram, mean_offdiagonal_weight
 from .matrixio import (MatrixFormatError, export_link_matrix,
                        export_probability_matrix, graph_from_json,
@@ -45,12 +45,8 @@ _DESK = {
 
 
 def _outdir(args) -> Path:
-    if getattr(args, "outdir", None):
-        d = Path(args.outdir)
-    elif os.environ.get("DIFFUSIM_OUTDIR"):
-        d = Path(os.environ["DIFFUSIM_OUTDIR"])
-    else:
-        d = Path(".")
+    d = Path(getattr(args, "outdir", None)
+             or os.environ.get("DIFFUSIM_OUTDIR") or ".")
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -101,7 +97,7 @@ def cmd_generate(parser, args) -> int:
     outdir = _outdir(args)
     prefix = args.prefix or (
         f"{args.family.replace('-', '_')}_n{args.n}"
-        + ("" if args.family == "complete" else f"_seed{args.seed}"))
+        + ("" if spec.seed is None else f"_seed{spec.seed}"))
     matrix = (export_probability_matrix(g) if args.family == "stochastic"
               else export_link_matrix(g))
     _write(outdir / f"{prefix}.matrix.txt", matrix)
@@ -365,16 +361,14 @@ def cmd_reproduce(parser, args) -> int:
         figure, seed = manifest.get("figure"), manifest.get("seed")
         if figure not in FIGURES:
             raise ValueError(f"manifest names unknown figure {figure!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool):
-            raise ValueError(f"manifest seed must be an integer, got {seed!r}")
     else:
         if args.figure is None:
             parser.error("--figure is required (or --from-manifest)")
         if args.seed is None:
             parser.error("--seed is required in reproduce mode")
         figure, seed = args.figure, args.seed
-    outdir = _outdir(args)
-    _run_reproduce(figure, seed, outdir)
+    # derived run seeds (seed + k) must not turn a negative seed valid
+    _run_reproduce(figure, _seed(seed, "seed"), _outdir(args))
     return 0
 
 

@@ -58,8 +58,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generators import make_rng
-from .graph import Graph, _vertex_ids
+from .generators import _seed, make_rng
+from .graph import Graph, _count, _vertex_ids
 
 # Most uniforms one random-contact block evaluates: the buffer stays at
 # 64 kB and each per-contact temporary at 32 kB. With twice the cap, the
@@ -102,11 +102,10 @@ class SimulationConfig:
     def __post_init__(self):
         if isinstance(self.model, str):
             object.__setattr__(self, "model", ContactModel(self.model))
-        if self.initial_informed < 1:
-            raise ValueError(
-                f"initial_informed must be >= 1, got {self.initial_informed}")
-        if self.max_loops < 1:
-            raise ValueError(f"max_loops must be >= 1, got {self.max_loops}")
+        for name in ("initial_informed", "max_loops"):
+            value = _count(getattr(self, name), name, 1)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "seed", _seed(self.seed, "seed"))
         if self.initial_vertices is not None:
             verts = tuple(_vertex_ids(list(self.initial_vertices)).tolist())
             if len(set(verts)) != len(verts):
@@ -139,9 +138,9 @@ def _mask(n: int, ids) -> np.ndarray:
 
 def _initial_mask(g: Graph, cfg: SimulationConfig,
                   rng: np.random.Generator | None) -> np.ndarray:
-    if not 1 <= cfg.initial_informed <= g.n:
+    if cfg.initial_informed > g.n:
         raise ValueError(
-            f"initial_informed must be in [1, {g.n}], got {cfg.initial_informed}")
+            f"initial_informed must be <= n = {g.n}, got {cfg.initial_informed}")
     if cfg.initial_vertices is not None:
         return _mask(g.n, cfg.initial_vertices)
     if rng is None:

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .diffusion import SimulationConfig, _first_loops, run
-from .generators import GeneratorSpec
-from .graph import Graph
+from .generators import GeneratorSpec, _seed
+from .graph import Graph, _count
 
 __all__ = [
     "EnsembleConfig",
@@ -54,9 +54,9 @@ BOOTSTRAP_CHUNK_CELLS = 1 << 16
 
 def replication_seeds(base_seed: int, index: int) -> tuple[int, int]:
     """(graph_seed, run_seed) for one replication; documented derivation."""
-    words = np.random.SeedSequence(base_seed, spawn_key=(index,)) \
-        .generate_state(2, np.uint64)
-    return int(words[0]), int(words[1])
+    seq = np.random.SeedSequence(_seed(base_seed, "base seed"),
+                                 spawn_key=(index,))
+    return tuple(seq.generate_state(2, np.uint64).tolist())
 
 
 @dataclass(frozen=True)
@@ -69,9 +69,8 @@ class EnsembleConfig:
     regenerate_graph: bool = True
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError(
-                f"replications must be >= 1, got {self.replications}")
+        object.__setattr__(self, "replications",
+                           _count(self.replications, "replications", 1))
 
 
 def _nearest_rank(sorted_values: np.ndarray, pct: float) -> np.ndarray:
@@ -109,13 +108,8 @@ class SaturationStats:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "p10": self.p10,
-            "p50": self.p50,
-            "p90": self.p90,
-            "censored": self.censored,
-        }
+        """Every field but the per-replication times."""
+        return {k: v for k, v in vars(self).items() if k != "times"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +208,7 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     trajectories: list[list[int]] = []
     for i in range(cfg.replications):
         graph_seed, run_seed = replication_seeds(cfg.base.seed, i)
-        if fixed_graph is not None:
-            g = fixed_graph
-        else:
-            g = cfg.generator.with_seed(graph_seed).build()
+        g = fixed_graph or replace(cfg.generator, seed=graph_seed).build()
         trajectories.append(run(g, replace(cfg.base, seed=run_seed)).counts)
     return _aggregate(cfg.generator.n, trajectories)
 

@@ -1,8 +1,8 @@
 """Deterministic generators for the four network families.
 
-``GeneratorSpec`` is the one place a family is checked and built: each
-``gen_*`` function is one ``GeneratorSpec(...).build()`` call, and every
-family but complete needs an integer seed.
+``GeneratorSpec`` is the one place a family is checked and built, and each
+``gen_*`` function is one ``.build()`` call. Construction checks ``n`` (count
+rule), ``edge_prob`` (a number in [0, 1]) and the seed (an integer >= 0).
 
 All randomness comes from numpy's PCG64 generator (``np.random.default_rng``),
 whose bit stream is stable across platforms and numpy releases, so the same
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _count, _is_probability
 
 __all__ = [
     "FAMILIES",
@@ -46,6 +46,15 @@ FAMILIES = ("complete", "random", "stochastic", "scale-free")
 def make_rng(seed: int) -> np.random.Generator:
     """PCG64 generator seeded with a 64-bit integer."""
     return np.random.default_rng(seed)
+
+
+def _seed(value, what: str) -> int:
+    """``value``, an integer >= 0 of any size, as a Python int; floats,
+    strings and bools raise ValueError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 0:
+        raise ValueError(f"{what} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,12 +75,11 @@ class GeneratorSpec:
         if self.family not in FAMILIES:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {FAMILIES}")
-        if self.n < 1:
-            raise ValueError(f"vertex count must be >= 1, got {self.n}")
+        object.__setattr__(self, "n", _count(self.n, "vertex count", 1))
         if self.family == "random":
             prob = 0.5 if self.edge_prob is None else self.edge_prob
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"edge_prob must be in [0, 1], got {prob}")
+            if np.ndim(prob) or not _is_probability(np.asarray(prob)):
+                raise ValueError(f"edge_prob must be in [0, 1], got {prob!r}")
             object.__setattr__(self, "edge_prob", prob)
         elif self.edge_prob is not None:
             raise ValueError(f"edge_prob is not used by family {self.family!r}")
@@ -80,6 +88,8 @@ class GeneratorSpec:
                 raise ValueError("complete family takes no seed")
         elif self.seed is None:
             raise ValueError(f"family {self.family!r} requires a seed")
+        else:
+            object.__setattr__(self, "seed", _seed(self.seed, "graph seed"))
 
     def build(self) -> Graph:
         """The graph of this family, size and seed."""
@@ -98,10 +108,6 @@ class GeneratorSpec:
         return Graph(self.n, (u.astype(np.int64), v.astype(np.int64),
                               np.ones(u.size, dtype=np.float64)
                               if w is None else w))
-
-    def with_seed(self, seed: int) -> "GeneratorSpec":
-        """Copy of this spec with a different seed."""
-        return GeneratorSpec(self.family, self.n, self.edge_prob, seed)
 
 
 def gen_complete(n: int) -> Graph:
@@ -150,8 +156,6 @@ def _grow_scale_free(n: int, seed: int) -> Graph:
     if n > _MAX_SCALE_FREE_N:
         raise ValueError(
             f"scale-free vertex count must be <= {_MAX_SCALE_FREE_N}, got {n}")
-    if n == 1:
-        return Graph(1)
     picks = make_rng(seed).integers(0, 2 * np.arange(1, n - 1))
     # targets[i] is the target of vertex i + 1. An odd pick 2j+1 names
     # vertex j+1; an even pick 2j names targets[j], an earlier entry,

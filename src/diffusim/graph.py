@@ -17,6 +17,7 @@ row per vertex.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -33,31 +34,51 @@ __all__ = [
 
 def _vertex_ids(values, n: int | None = None) -> np.ndarray:
     """Vertex ids as int64, compared exactly with ``values``: integers and
-    integral floats pass; fractions, strings, non-finite values and ids
-    beyond int64 raise ValueError, as does, given ``n``, the first id
-    outside [0, n). Every vertex id and count entering goes through it."""
+    integral floats pass; bools, fractions, strings, non-finite values and
+    ids beyond int64 raise ValueError, as does, given ``n``, the first id
+    outside [0, n). Every vertex id entering goes through it."""
     ids = np.asarray(values)
     if ids.dtype != np.int64:
         # compared as Python numbers: a float64 array of a list's values
         # would round ids beyond 2**53
         cells = np.array(values, dtype=object)
         try:
-            ids = cells.astype(np.int64)
+            ids = None if ids.dtype == bool else cells.astype(np.int64)
         except (TypeError, ValueError, OverflowError):
             ids = None
         if ids is None or not (ids == cells).all():
-            raise ValueError("vertex ids and counts must be integers")
+            raise ValueError("vertex ids must be integers")
     if n is not None and ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = ids[(ids < 0) | (ids >= n)][0]
         raise ValueError(f"vertex id {bad} outside [0, {n})")
     return ids
 
 
+def _count(value, what: str, low: int) -> int:
+    """``value``, one integral number >= ``low`` by the vertex-id rule, as
+    a Python int; anything else raises ValueError naming ``what``."""
+    try:
+        count = _vertex_ids(value)
+    except ValueError:
+        count = None
+    if count is None or count.ndim:
+        raise ValueError(f"{what}: counts must be integers, got {value!r}")
+    if count < low:
+        raise ValueError(f"{what} must be >= {low}, got {value!r}")
+    return count.item()
+
+
+def _is_probability(values: np.ndarray) -> bool:
+    """Whether all ``values`` are real numbers in [0, 1], NaN excluded."""
+    return values.dtype.kind in "iuf" and \
+        bool(((values >= 0.0) & (values <= 1.0)).all())
+
+
 def _edge_columns(triples) -> tuple[list, list, list]:
     """The u, v and w columns of a sequence of (u, v, w) triples; any other
-    item length raises ValueError."""
-    # len over every item at C speed: a JSON dump passes one row per edge
-    if triples and set(map(len, triples)) != {3}:
+    item, or an item that has no length, raises ValueError."""
+    # len at C speed, 0 for an item without len; JSON has one row per edge
+    if triples and set(map(operator.length_hint, triples)) != {3}:
         raise ValueError("edges must be [u, v, w] triples")
     return tuple([t[i] for t in triples] for i in range(3))
 
@@ -80,10 +101,7 @@ class Graph:
                  "_pair_keys", "_degrees")
 
     def __init__(self, n: int, edges: Iterable = ()) -> None:
-        count = _vertex_ids(n)
-        if count.ndim or count < 0:
-            raise ValueError(f"vertex count must be an integer >= 0, got {n}")
-        self.n = n = count.item()
+        self.n = n = _count(n, "vertex count", 0)
 
         if isinstance(edges, tuple) and len(edges) == 3 and \
                 all(isinstance(a, np.ndarray) for a in edges):
@@ -100,9 +118,7 @@ class Graph:
             if (eu == ev).any():
                 bad = int(eu[eu == ev][0])
                 raise ValueError(f"self-loop on vertex {bad} not allowed")
-            # numbers only, written so that NaN (unequal to all) is rejected
-            if ew.dtype.kind not in "iuf" or \
-                    not ((ew >= 0.0) & (ew <= 1.0)).all():
+            if not _is_probability(ew):
                 raise ValueError("edge weights must be numbers in [0, 1]")
         ew = ew.astype(np.float64, copy=False)
 

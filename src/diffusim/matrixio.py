@@ -43,42 +43,38 @@ class MatrixFormatError(ValueError):
     """Raised when matrix text cannot be parsed into a valid graph."""
 
 
-def export_link_matrix(g: Graph) -> str:
-    """Render g as a 0/1 link matrix; requires every weight to be 1.0."""
-    u, v, w = g.edge_arrays()
-    if w.size and not (w == 1.0).all():
-        raise ValueError("link matrix requires all edge weights exactly 1.0")
+def _render_matrix(g: Graph, table: bytes, width: int, k) -> str:
+    """Rows of ``width``-byte cells, each then a space or newline: entry k
+    of ``table`` for an edge whose index in ``k`` is k, entry 0 elsewhere."""
     if g.n == 0:
         return "\n"
-    # row i is "c c ... c\n": cell j at column 2j, a space or newline after
-    cells = np.full((g.n, 2 * g.n), b" ", dtype="S1")
-    cells[:, 0::2] = b"0"
-    cells[:, -1] = b"\n"
-    cells[u, 2 * v] = b"1"
-    cells[v, 2 * u] = b"1"
+    u, v, _ = g.edge_arrays()
+    index = np.zeros((g.n, g.n), dtype=np.uint8)
+    index[u, v] = index[v, u] = k
+    cells = np.full((g.n, g.n, width + 1), ord(" "), dtype=np.uint8)
+    cells[..., :width] = np.frombuffer(table, "u1").reshape(-1, width)[index]
+    cells[:, -1, width] = ord("\n")
     return cells.tobytes().decode()
+
+
+def export_link_matrix(g: Graph) -> str:
+    """Render g as a 0/1 link matrix; requires every weight to be 1.0."""
+    if not (g.edge_arrays()[2] == 1.0).all():
+        raise ValueError("link matrix requires all edge weights exactly 1.0")
+    return _render_matrix(g, b"01", 1, 1)
 
 
 def export_probability_matrix(g: Graph) -> str:
     """Render g as a probability matrix with two-decimal entries."""
-    if g.n == 0:
-        return "\n"
-    u, v, w = g.edge_arrays()
-    # cell k of the table is k hundredths, "0.00" to "1.00". rint(100 w)
+    w = g.edge_arrays()[2]
+    # entry k of the table is k hundredths, "0.00" to "1.00". rint(100 w)
     # rounds as format(w, ".2f") does except near a tie, where the exact
     # binary value of w decides; format settles those few weights.
-    table = np.frombuffer(b"".join(b"%d.%02d" % divmod(k, 100)
-                                   for k in range(101)), np.uint8)
     k = np.rint(w * 100).astype(np.uint8)
     tie = np.flatnonzero(np.abs(w * 100 % 1 - 0.5) < 1e-6)
     k[tie] = [int(format(w[i], ".2f").replace(".", "")) for i in tie]
-    index = np.zeros((g.n, g.n), dtype=np.uint8)
-    index[u, v] = index[v, u] = k
-    # row i is "cell cell ... cell\n": each cell then a space or newline
-    cells = np.full((g.n, g.n, 5), ord(" "), dtype=np.uint8)
-    cells[:, :, :4] = table.reshape(101, 4)[index]
-    cells[:, -1, 4] = ord("\n")
-    return cells.tobytes().decode()
+    table = b"".join(b"%d.%02d" % divmod(i, 100) for i in range(101))
+    return _render_matrix(g, table, 4, k)
 
 
 def import_matrix(text: str) -> Graph:

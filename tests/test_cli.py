@@ -350,6 +350,28 @@ def test_reproduce_bad_manifest_exit_1(tmp_path, capsys, manifest):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("args,code", [
+    (["reproduce", "--figure", "random-network", "--seed", "-1"], 1),
+    (["reproduce", "--figure", "power-law", "--seed", "-1"], 1),
+    (["reproduce", "--figure", "scale-free-network", "--seed", "-3"], 1),
+    (["generate", "--family", "random", "--n", "5", "--seed", "-1"], 2),
+    (["simulate", "--family", "random", "--n", "5", "--graph-seed", "-1"],
+     2),
+    (["simulate", "--family", "complete", "--n", "5", "--seed", "-3"], 2),
+])
+def test_negative_seed_fails_cleanly_without_artifacts(tmp_path, capsys,
+                                                       args, code):
+    outdir = tmp_path / "out"
+    try:
+        got = run_cli(args + ["--outdir", str(outdir)])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert "error: " in err and "seed must be an integer >= 0" in err
+    assert not outdir.exists() or not list(outdir.iterdir())
+
+
 def test_reproduce_power_law_bundle_and_manifest(tmp_path, capsys):
     out1 = tmp_path / "a"
     assert run_cli(["reproduce", "--figure", "power-law", "--seed", "11",

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from diffusim import (
     Graph,
     GeneratorSpec,
+    SimulationConfig,
     degree_histogram,
     gen_complete,
     gen_random,
     gen_scale_free,
     gen_stochastic,
     is_connected,
+    matrix_average_convergence,
     mean_offdiagonal_weight,
 )
 
@@ -35,6 +37,45 @@ def test_spec_rejects_family_irrelevant_parameters():
         GeneratorSpec("complete", 5, None, 1)
     with pytest.raises(ValueError, match="requires a seed"):
         GeneratorSpec("scale-free", 5)
+
+
+# each config checks its seed when it is built; the error names the field
+SEEDED = {
+    "graph seed": lambda s: GeneratorSpec("stochastic", 5, None, s),
+    "seed": lambda s: SimulationConfig("broadcast", 1, 5, s),
+}
+
+
+# replication_seeds derives every ensemble's and analysis' graph seeds
+REFUSED = {**SEEDED, "base seed": lambda s: matrix_average_convergence(
+    "random", [5], seed=s)}
+
+
+@pytest.mark.parametrize("field", REFUSED)
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", -1, True])
+def test_seed_must_be_a_non_negative_integer(field, bad):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0"):
+        REFUSED[field](bad)
+
+
+@pytest.mark.parametrize("field", SEEDED)
+def test_seed_accepts_any_non_negative_integer(field):
+    for seed in (0, 2**64 - 1, 2**70, np.int32(7), np.uint64(2**64 - 1)):
+        cfg = SEEDED[field](seed)
+        assert type(cfg.seed) is int and cfg.seed == seed
+
+
+@pytest.mark.parametrize("prob", ["0.5", True, np.bool_(True), [0.5],
+                                  float("nan")])
+def test_spec_rejects_edge_prob_that_is_not_a_number(prob):
+    with pytest.raises(ValueError, match="edge_prob"):
+        GeneratorSpec("random", 5, prob, 1)
+
+
+def test_spec_accepts_edge_prob_of_any_real_dtype():
+    for prob in (0, 1, np.float32(0.25), np.float64(0.3)):
+        assert GeneratorSpec("random", 20, prob, 3).build() == \
+            gen_random(20, float(prob), seed=3)
 
 
 def test_spec_defaults_edge_prob():

@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from diffusim import (
     DiffusionState,
+    EnsembleConfig,
+    GeneratorSpec,
     Graph,
     SimulationConfig,
     bfs_distances,
@@ -16,6 +18,8 @@ from diffusim import (
     gen_random,
     is_connected,
     mean_offdiagonal_weight,
+    run,
+    run_ensemble,
 )
 
 
@@ -118,6 +122,9 @@ def test_pair_weights_vectorized():
      "1-D"),
     ([(0, 1)], "triples"),
     ([(0, 1, 0.5, 7)], "triples"),
+    ([5], "triples"),
+    ([None], "triples"),
+    ([(True, 2, 1.0)], "integers"),
 ])
 def test_construction_rejects_invalid_edges(edges, msg):
     with pytest.raises(ValueError, match=msg):
@@ -138,14 +145,64 @@ G3 = Graph(3, [(0, 1, 0.5), (1, 2, 1.0)])
     (1.99, lambda v: G3.degree(v)),
     (0.7, lambda v: bfs_distances(G3, v).tolist()),
     (0.5, lambda v: DiffusionState(frozenset({v}), 0).mask(3).tolist()),
+    # counts follow the same rule, checked when their config is built
+    (2.5, lambda v: GeneratorSpec("scale-free", v, None, 1).build()),
+    ("3", lambda v: GeneratorSpec("scale-free", v, None, 1).build()),
+    (2.5, lambda v: run(G3, SimulationConfig("broadcast", v, 5, 0)).counts),
+    ("3", lambda v: run(G3, SimulationConfig("broadcast", v, 5, 0)).counts),
+    (2.5, lambda v: run(G3, SimulationConfig("broadcast", 1, v, 0)).counts),
+    ("3", lambda v: run(G3, SimulationConfig("broadcast", 1, v, 0)).counts),
+    (2.5, lambda v: run_ensemble(EnsembleConfig(
+        SimulationConfig("broadcast", 1, 5, 0),
+        GeneratorSpec("random", 4, 0.5, 1), v)).mean.tolist()),
+    ("3", lambda v: run_ensemble(EnsembleConfig(
+        SimulationConfig("broadcast", 1, 5, 0),
+        GeneratorSpec("random", 4, 0.5, 1), v)).mean.tolist()),
 ], ids=["n", "n-str", "float-edge-array", "initial-vertex", "weight",
-        "degree", "bfs-source", "state-mask"])
+        "degree", "bfs-source", "state-mask", "spec-n", "spec-n-str",
+        "initial-informed", "initial-informed-str", "max-loops",
+        "max-loops-str", "replications", "replications-str"])
 def test_vertex_ids_must_be_integral(bad, call):
     # a fraction or a string is never truncated or parsed into an id
     with pytest.raises(ValueError, match="must be integers"):
         call(bad)
-    for good in (2.0, np.int32(1), np.float64(1.0)):
+    for good in (2.0, np.int32(1), np.float64(1.0), np.int32(2),
+                 np.float64(2.0)):
         assert call(good) == call(int(good))
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: Graph(v).n,
+    lambda v: GeneratorSpec("complete", v).n,
+    lambda v: SimulationConfig("broadcast", v, 5, 0).initial_informed,
+    lambda v: SimulationConfig("broadcast", 1, v, 0).max_loops,
+    lambda v: EnsembleConfig(SimulationConfig("broadcast", 1, 5, 0),
+                             GeneratorSpec("complete", 3), v).replications,
+], ids=["graph-n", "spec-n", "initial-informed", "max-loops", "replications"])
+def test_counts_are_stored_as_int(make):
+    for value in (2.0, np.int32(2), np.float64(2.0), np.int64(2)):
+        count = make(value)
+        assert type(count) is int and count == 2
+
+
+@pytest.mark.parametrize("make,field", [
+    (lambda v: Graph(v), "vertex count"),
+    (lambda v: GeneratorSpec("complete", v), "vertex count"),
+    (lambda v: SimulationConfig("broadcast", v, 5, 0), "initial_informed"),
+    (lambda v: SimulationConfig("broadcast", 1, v, 0), "max_loops"),
+    (lambda v: EnsembleConfig(SimulationConfig("broadcast", 1, 5, 0),
+                              GeneratorSpec("complete", 3), v),
+     "replications"),
+], ids=["graph-n", "spec-n", "initial-informed", "max-loops", "replications"])
+@pytest.mark.parametrize("bad,msg", [
+    (2.5, "must be integers"), ("3", "must be integers"),
+    (None, "must be integers"), ([3], "must be integers"),
+    (True, "must be integers"), (-1, "must be >= "),
+], ids=["fraction", "string", "none", "list", "bool", "negative"])
+def test_count_errors_name_the_field(make, field, bad, msg):
+    with pytest.raises(ValueError, match=field) as exc:
+        make(bad)
+    assert msg in str(exc.value)
 
 
 def test_construction_sorts_only_out_of_order_input():

@@ -183,6 +183,9 @@ def test_json_rejects_nan_weight():
     '{"n": 3, "edges": 5}',
     '{"n": 3, "edges": [[0, 2, "0.5"]]}',
     '{"n": 3, "edges": [[[0, 1], [1, 2], [0.5, 0.5]]]}',
+    '{"n": true, "edges": []}',
+    '{"n": 3, "edges": [[true, 2, 0.5]]}',
+    '{"n": 3, "edges": [5]}',
 ])
 def test_json_rejects_non_integral_or_malformed(text):
     with pytest.raises(MatrixFormatError):
