@@ -5,8 +5,13 @@ arguments with fixed defaults (never wall-clock derived), and the
 ``reproduce`` command refuses to run without one. Exit codes are stable
 for scripting: 0 success, 1 runtime/IO/format failure, 2 usage error.
 
+Every command runs in three steps: it checks its flags and builds every
+config, computes the text of every file it owes, and only then writes them
+all through ``_write``. So a command whose checks or runs fail writes no
+file.
+
 Output directory resolution: --outdir flag, else the DIFFUSIM_OUTDIR
-environment variable, else the current directory.
+environment variable, else the current directory; ``_write`` creates it.
 """
 
 from __future__ import annotations
@@ -44,16 +49,15 @@ _DESK = {
 }
 
 
-def _outdir(args) -> Path:
-    d = Path(getattr(args, "outdir", None)
-             or os.environ.get("DIFFUSIM_OUTDIR") or ".")
-    d.mkdir(parents=True, exist_ok=True)
-    return d
-
-
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8", newline="\n")
-    print(f"wrote {path}")
+def _write(args, files: dict[str, str]) -> None:
+    """Write each ``{name: text}`` into the output directory, in order."""
+    outdir = Path(getattr(args, "outdir", None)
+                  or os.environ.get("DIFFUSIM_OUTDIR") or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        path = outdir / name
+        path.write_text(text, encoding="utf-8", newline="\n")
+        print(f"wrote {path}")
 
 
 def _load_graph(path: str) -> Graph:
@@ -82,26 +86,24 @@ def _int_list(value: str) -> list[int]:
 # generate
 # ---------------------------------------------------------------------------
 
-def _generator_spec(parser, family, n, edge_prob, seed) -> GeneratorSpec:
-    try:
-        return GeneratorSpec(family, n, edge_prob,
-                             None if family == "complete" else seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+def _generator_spec(family, n, edge_prob, seed) -> GeneratorSpec:
+    return GeneratorSpec(family, n, edge_prob,
+                         None if family == "complete" else seed)
 
 
 def cmd_generate(parser, args) -> int:
-    spec = _generator_spec(parser, args.family, args.n, args.edge_prob,
-                           args.seed)
+    try:
+        spec = _generator_spec(args.family, args.n, args.edge_prob, args.seed)
+    except ValueError as exc:
+        parser.error(str(exc))
     g = spec.build()
-    outdir = _outdir(args)
     prefix = args.prefix or (
         f"{args.family.replace('-', '_')}_n{args.n}"
         + ("" if spec.seed is None else f"_seed{spec.seed}"))
     matrix = (export_probability_matrix(g) if args.family == "stochastic"
               else export_link_matrix(g))
-    _write(outdir / f"{prefix}.matrix.txt", matrix)
-    _write(outdir / f"{prefix}.graph.json", graph_to_json(g) + "\n")
+    _write(args, {f"{prefix}.matrix.txt": matrix,
+                  f"{prefix}.graph.json": graph_to_json(g) + "\n"})
     density = (2 * g.edge_count / (g.n * (g.n - 1))) if g.n > 1 else 0.0
     seed_part = "" if spec.seed is None else f" seed={spec.seed}"
     print(f"family={args.family} n={g.n}{seed_part} "
@@ -166,70 +168,63 @@ def _config_defaults(path: str) -> dict:
     return values
 
 
-def _simulate_one(parser, args, g, spec, initial, prefix, outdir) -> None:
-    try:
-        cfg = SimulationConfig(
-            model=args.model,
-            initial_informed=initial,
-            max_loops=args.max_loops,
-            seed=args.seed,
-            initial_vertices=args.initial_vertices,
-        )
-        ecfg = EnsembleConfig(
-            base=cfg, generator=spec, replications=args.replications,
-            regenerate_graph=not args.fixed_graph)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.replications == 1:
-        rec = run(g, cfg)
+def _simulate_one(g, ecfg, prefix) -> tuple[dict[str, str], str]:
+    """One initial count's files and summary line."""
+    k = ecfg.base.initial_informed
+    if ecfg.replications == 1:
+        rec = run(g, ecfg.base)
         sat = rec.saturation_loop()
-        _write(outdir / f"{prefix}.trajectory.csv", rec.to_csv())
+        files = {f"{prefix}.trajectory.csv": rec.to_csv()}
         if sat is None:
-            print(f"initial={cfg.initial_informed}: not saturated within "
-                  f"{rec.loops} loops (final informed {rec.counts[-1]})")
-        else:
-            print(f"initial={cfg.initial_informed}: saturated at loop {sat}")
-    else:
-        summary = run_ensemble(ecfg)
-        _write(outdir / f"{prefix}.ensemble.csv", summary.to_csv())
-        _write(outdir / f"{prefix}.ensemble.json",
-               json.dumps(summary.to_json_dict(), indent=2) + "\n")
-        sat = summary.saturation
-        mean = "n/a" if sat.mean is None else f"{sat.mean:.2f}"
-        print(f"initial={cfg.initial_informed}: replications="
-              f"{args.replications} mean_saturation={mean} "
-              f"censored={sat.censored}")
+            return files, (f"initial={k}: not saturated within {rec.loops} "
+                           f"loops (final informed {rec.counts[-1]})")
+        return files, f"initial={k}: saturated at loop {sat}"
+    summary = run_ensemble(ecfg)
+    sat = summary.saturation
+    mean = "n/a" if sat.mean is None else f"{sat.mean:.2f}"
+    return ({f"{prefix}.ensemble.csv": summary.to_csv(),
+             f"{prefix}.ensemble.json":
+                 json.dumps(summary.to_json_dict(), indent=2) + "\n"},
+            f"initial={k}: replications={ecfg.replications} "
+            f"mean_saturation={mean} censored={sat.censored}")
 
 
 def cmd_simulate(parser, args) -> int:
     if args.graph and args.family:
         parser.error("give either --graph or --family, not both")
-    g = None
-    spec = None
-    if args.graph:
-        g = _load_graph(args.graph)
-        if args.replications > 1:
-            parser.error("ensembles need --family generation parameters "
-                         "(a file-loaded graph cannot be regenerated)")
-    elif args.family:
-        if args.n is None:
-            parser.error("--family requires --n")
-        spec = _generator_spec(parser, args.family, args.n, args.edge_prob,
-                               args.graph_seed)
-        if args.replications == 1:
-            g = spec.build()
-    else:
+    if not (args.graph or args.family):
         parser.error("one of --graph or --family is required")
-
-    outdir = _outdir(args)
-    prefix = args.prefix or "simulation"
-    print(f"model={args.model} seed={args.seed} max_loops={args.max_loops}")
+    if args.graph and args.replications > 1:
+        parser.error("ensembles need --family generation parameters "
+                     "(a file-loaded graph cannot be regenerated)")
+    if args.family and args.n is None:
+        parser.error("--family requires --n")
     initials = ([len(args.initial_vertices)] if args.initial_vertices
                 else args.initial)
-    for initial in initials:
-        suffix = f"_k{initial}" if len(initials) > 1 else ""
-        _simulate_one(parser, args, g, spec, initial,
-                      f"{prefix}{suffix}", outdir)
+    try:
+        spec = None if args.graph else _generator_spec(
+            args.family, args.n, args.edge_prob, args.graph_seed)
+        ecfgs = [EnsembleConfig(
+            base=SimulationConfig(model=args.model, initial_informed=k,
+                                  max_loops=args.max_loops, seed=args.seed,
+                                  initial_vertices=args.initial_vertices),
+            generator=spec, replications=args.replications,
+            regenerate_graph=not args.fixed_graph) for k in initials]
+    except ValueError as exc:
+        parser.error(str(exc))
+    g = None
+    if args.graph:
+        g = _load_graph(args.graph)
+    elif args.replications == 1:
+        g = spec.build()
+    prefix = args.prefix or "simulation"
+    runs = [_simulate_one(g, ecfg,
+                          f"{prefix}_k{k}" if len(initials) > 1 else prefix)
+            for k, ecfg in zip(initials, ecfgs)]
+    print(f"model={args.model} seed={args.seed} max_loops={args.max_loops}")
+    for files, line in runs:
+        _write(args, files)
+        print(line)
     return 0
 
 
@@ -270,7 +265,7 @@ STATS = {
 def cmd_analyze(parser, args) -> int:
     text = STATS[args.stat](_load_graph(args.graph))
     if args.out:
-        _write(Path(args.out), text)
+        _write(args, {args.out: text})
     else:
         sys.stdout.write(text)
     return 0
@@ -280,9 +275,9 @@ def cmd_analyze(parser, args) -> int:
 # reproduce
 # ---------------------------------------------------------------------------
 
-def _reproduce_trajectories(family: str, seed: int, outdir: Path) -> list[str]:
+def _reproduce_trajectories(family: str, seed: int) -> dict[str, str]:
     d = _DESK
-    outputs = []
+    files = {}
     for k in d["initials"]:
         base = SimulationConfig(model=d["model"], initial_informed=k,
                                 max_loops=d["max_loops"], seed=seed + k)
@@ -290,23 +285,22 @@ def _reproduce_trajectories(family: str, seed: int, outdir: Path) -> list[str]:
         summary = run_ensemble(EnsembleConfig(
             base=base, generator=spec, replications=d["replications"]))
         name = f"{family.replace('-', '_')}_trajectory_k{k}.csv"
-        _write(outdir / name, summary.to_csv())
-        outputs.append(name)
-    return outputs
+        files[name] = summary.to_csv()
+    return files
 
 
-def _reproduce_power_law(seed: int, outdir: Path) -> list[str]:
+def _reproduce_power_law(seed: int) -> dict[str, str]:
     g = GeneratorSpec("scale-free", _DESK["n"], None, seed).build()
     hist = degree_histogram(g)
-    outputs = ["degree_histogram.csv", "power_law_fit.json"]
-    _write(outdir / outputs[0], _histogram_csv(hist))
-    _write(outdir / outputs[1], json.dumps(
-        {"n": g.n, **asdict(fit_power_law(hist)), "max_degree": max(hist),
-         "degree_one_fraction": hist.get(1, 0) / g.n}, indent=2) + "\n")
-    return outputs
+    return {"degree_histogram.csv": _histogram_csv(hist),
+            "power_law_fit.json": json.dumps(
+                {"n": g.n, **asdict(fit_power_law(hist)),
+                 "max_degree": max(hist),
+                 "degree_one_fraction": hist.get(1, 0) / g.n},
+                indent=2) + "\n"}
 
 
-def _reproduce_random_vs_stochastic(seed: int, outdir: Path) -> list[str]:
+def _reproduce_random_vs_stochastic(seed: int) -> dict[str, str]:
     d = _DESK
     base = SimulationConfig(model=d["model"],
                             initial_informed=d["compare_initial"],
@@ -320,16 +314,13 @@ def _reproduce_random_vs_stochastic(seed: int, outdir: Path) -> list[str]:
     horizon = max(s.horizon for s in summaries.values())
     report = compare_ensembles(summaries["random"].extended(horizon),
                                summaries["stochastic"].extended(horizon))
-    outputs = ["random_ensemble.csv", "stochastic_ensemble.csv",
-               "comparison.json"]
-    _write(outdir / outputs[0], summaries["random"].to_csv())
-    _write(outdir / outputs[1], summaries["stochastic"].to_csv())
-    _write(outdir / outputs[2],
-           json.dumps(report.to_json_dict(), indent=2) + "\n")
-    return outputs
+    return {"random_ensemble.csv": summaries["random"].to_csv(),
+            "stochastic_ensemble.csv": summaries["stochastic"].to_csv(),
+            "comparison.json":
+                json.dumps(report.to_json_dict(), indent=2) + "\n"}
 
 
-# figure id -> builder(seed, outdir), which returns the artifact names
+# figure id -> builder(seed), which returns the artifacts as {name: text}
 FIGURES = {
     "random-network": partial(_reproduce_trajectories, "random"),
     "stochastic-network": partial(_reproduce_trajectories, "stochastic"),
@@ -339,17 +330,18 @@ FIGURES = {
 }
 
 
-def _run_reproduce(figure: str, seed: int, outdir: Path) -> None:
-    outputs = FIGURES[figure](seed, outdir)
+def _run_reproduce(args, figure: str, seed: int) -> None:
+    files = FIGURES[figure](seed)
     manifest = {
         "figure": figure,
         "seed": seed,
         "parameters": dict(_DESK, initials=list(_DESK["initials"])),
-        "outputs": outputs,
+        "outputs": list(files),
         "version": __version__,
     }
-    _write(outdir / "manifest.json",
-           json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    files["manifest.json"] = json.dumps(manifest, indent=2,
+                                        sort_keys=True) + "\n"
+    _write(args, files)
 
 
 def cmd_reproduce(parser, args) -> int:
@@ -368,7 +360,7 @@ def cmd_reproduce(parser, args) -> int:
             parser.error("--seed is required in reproduce mode")
         figure, seed = args.figure, args.seed
     # derived run seeds (seed + k) must not turn a negative seed valid
-    _run_reproduce(figure, _seed(seed, "seed"), _outdir(args))
+    _run_reproduce(args, figure, _seed(seed, "seed"))
     return 0
 
 
@@ -423,7 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--stat", required=True, choices=STATS)
     p.add_argument("--out")
-    p.set_defaults(handler=cmd_analyze)
+    # --out is a path of its own, not a name under $DIFFUSIM_OUTDIR
+    p.set_defaults(handler=cmd_analyze, outdir=".")
 
     p = sub.add_parser("reproduce", help="write the canned desk-scale data "
                                          "bundle for one figure")

@@ -2,7 +2,8 @@
 
 ``GeneratorSpec`` is the one place a family is checked and built, and each
 ``gen_*`` function is one ``.build()`` call. Construction checks ``n`` (count
-rule), ``edge_prob`` (a number in [0, 1]) and the seed (an integer >= 0).
+rule, and at most ``_MAX_SCALE_FREE_N`` for scale-free), ``edge_prob`` (a
+number in [0, 1]) and the seed (an integer >= 0).
 
 All randomness comes from numpy's PCG64 generator (``np.random.default_rng``),
 whose bit stream is stable across platforms and numpy releases, so the same
@@ -57,6 +58,11 @@ def _seed(value, what: str) -> int:
     return int(value)
 
 
+# rejects trees whose edge arrays alone would need tens of GB before
+# anything is allocated
+_MAX_SCALE_FREE_N = 2**31 + 1
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Family tag plus the parameters that family actually uses.
@@ -76,6 +82,9 @@ class GeneratorSpec:
             raise ValueError(
                 f"unknown family {self.family!r}, expected one of {FAMILIES}")
         object.__setattr__(self, "n", _count(self.n, "vertex count", 1))
+        if self.family == "scale-free" and self.n > _MAX_SCALE_FREE_N:
+            raise ValueError(f"scale-free vertex count must be <= "
+                             f"{_MAX_SCALE_FREE_N}, got {self.n}")
         if self.family == "random":
             prob = 0.5 if self.edge_prob is None else self.edge_prob
             if np.ndim(prob) or not _is_probability(np.asarray(prob)):
@@ -133,18 +142,13 @@ def gen_scale_free(n: int, seed: int = 0) -> Graph:
     Every later vertex t picks its target with probability proportional
     to the target's current degree, so the result is a connected tree
     with n - 1 edges and a heavy-tailed degree distribution. n above
-    ``_MAX_SCALE_FREE_N`` is rejected.
+    ``_MAX_SCALE_FREE_N`` is rejected at construction, before the build.
     """
     return GeneratorSpec("scale-free", n, None, seed).build()
 
 
-# rejects trees whose edge arrays alone would need tens of GB before
-# anything is allocated
-_MAX_SCALE_FREE_N = 2**31 + 1
-
-
 def _grow_scale_free(n: int, seed: int) -> Graph:
-    """``gen_scale_free``'s tree, for n >= 1.
+    """``gen_scale_free``'s tree, for 1 <= n <= ``_MAX_SCALE_FREE_N``.
 
     Vertex t's pick is ``rng.integers(0, 2(t-1))`` into a pool holding
     every vertex once per unit of degree: pool[0] is 0, pool[2j+1] is
@@ -153,9 +157,6 @@ def _grow_scale_free(n: int, seed: int) -> Graph:
     picks at once; numpy draws each element as a scalar call with that
     bound would. Pointer jumping resolves the even picks' references.
     """
-    if n > _MAX_SCALE_FREE_N:
-        raise ValueError(
-            f"scale-free vertex count must be <= {_MAX_SCALE_FREE_N}, got {n}")
     picks = make_rng(seed).integers(0, 2 * np.arange(1, n - 1))
     # targets[i] is the target of vertex i + 1. An odd pick 2j+1 names
     # vertex j+1; an even pick 2j names targets[j], an earlier entry,

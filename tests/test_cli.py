@@ -75,9 +75,36 @@ def test_simulate_six_initial_batch(tmp_path, capsys):
                     "--graph-seed", "5", "--initial", "1,2,5,10,20,50",
                     "--seed", "9", "--outdir", str(tmp_path),
                     "--prefix", "grid"]) == 0
-    capsys.readouterr()
+    # the header, then each k's file and its summary line, in that order
+    want = ["model=random-contact seed=9 max_loops=1000"]
+    for k, sat in ((1, 34), (2, 16), (5, 20), (10, 17), (20, 16), (50, 12)):
+        want += [f"wrote {tmp_path / f'grid_k{k}.trajectory.csv'}",
+                 f"initial={k}: saturated at loop {sat}"]
+    assert capsys.readouterr().out.splitlines() == want
     for k in (1, 2, 5, 10, 20, 50):
         assert (tmp_path / f"grid_k{k}.trajectory.csv").exists()
+
+
+@pytest.mark.parametrize("args,code,msg", [
+    (["--initial", "1,20"], 1, "initial_informed must be <= n = 10, got 20"),
+    (["--initial", "1,0"], 2, "initial_informed must be >= 1, got 0"),
+    (["--initial", "1,20", "--replications", "3"], 1,
+     "initial_informed must be <= n = 10, got 20"),
+], ids=["over-n", "zero", "ensemble-over-n"])
+def test_simulate_failing_batch_writes_nothing(tmp_path, capsys, args, code,
+                                               msg):
+    # k=1 runs fine; the later count's refusal must not leave k=1's files
+    # or the header behind
+    outdir = tmp_path / "out"
+    try:
+        got = run_cli(["simulate", "--family", "random", "--n", "10",
+                       "--max-loops", "5", *args, "--outdir", str(outdir)])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    out, err = capsys.readouterr()
+    assert "model=" not in out and msg in err
+    assert not outdir.exists()
 
 
 def test_simulate_byte_identical_reruns(tmp_path, capsys):
@@ -400,6 +427,29 @@ def small_desk(monkeypatch):
     return desk
 
 
+def test_reproduce_failing_figure_writes_nothing(tmp_path, capsys,
+                                                small_desk, monkeypatch):
+    # the first ensemble succeeds; the second one's failure must not leave
+    # the first one's file behind
+    calls = []
+    real = cli.run_ensemble
+
+    def fail_second(cfg):
+        calls.append(cfg)
+        if len(calls) == 2:
+            raise ValueError("second ensemble failed")
+        return real(cfg)
+
+    monkeypatch.setattr(cli, "run_ensemble", fail_second)
+    outdir = tmp_path / "out"
+    assert run_cli(["reproduce", "--figure", "random-network", "--seed", "2",
+                    "--outdir", str(outdir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "error: second ensemble failed" in err
+    assert len(calls) == 2
+    assert not outdir.exists()
+
+
 @pytest.mark.parametrize("figure,expected", [
     ("random-network", ["random_trajectory_k1.csv",
                         "random_trajectory_k5.csv"]),
@@ -529,11 +579,15 @@ def test_generate_random_edge_prob_defaults_to_half(tmp_path, capsys):
     assert graph_from_json(text) == gen_random(30, 0.5, seed=4)
 
 
-def test_generate_scale_free_beyond_32_bit_draws_exit_1(tmp_path, capsys):
-    assert run_cli(["generate", "--family", "scale-free", "--n",
-                    str(2**31 + 2), "--outdir", str(tmp_path)]) == 1
+def test_generate_scale_free_beyond_32_bit_draws_exit_2(tmp_path, capsys):
+    # the cap is checked when the GeneratorSpec is built, so it is a usage
+    # error like --n 0
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["generate", "--family", "scale-free", "--n",
+                 str(2**31 + 2), "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Traceback" not in err
+    assert "error: " in err and "Traceback" not in err
     assert "2147483649" in err
 
 
@@ -566,6 +620,20 @@ def test_simulate_missing_config_exit_1(tmp_path, capsys):
                     "--outdir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config file not found")
+
+
+def test_analyze_out_ignores_outdir_env(tmp_path, monkeypatch, capsys):
+    # --out is a path of its own, relative to the working directory
+    graph = tmp_path / "path.graph.json"
+    graph.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+                     encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DIFFUSIM_OUTDIR", str(tmp_path / "envdir"))
+    assert run_cli(["analyze", "--graph", str(graph), "--stat", "clustering",
+                    "--out", "c.json"]) == 0
+    assert capsys.readouterr().out == "wrote c.json\n"
+    assert (tmp_path / "c.json").exists()
+    assert not (tmp_path / "envdir").exists()
 
 
 def test_analyze_path_length(tmp_path, capsys):

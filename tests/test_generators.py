@@ -302,6 +302,15 @@ def test_scale_free_rejects_n_beyond_32_bit_draws_before_allocating():
     assert peak < 1 << 20
 
 
+def test_spec_refuses_scale_free_beyond_cap_at_construction():
+    # construction, not build, is the only vertex-count check
+    with pytest.raises(ValueError, match="2147483649"):
+        GeneratorSpec("scale-free", 2**31 + 2, None, 0)
+    assert GeneratorSpec("scale-free", 2**31 + 1, None, 0).n == 2**31 + 1
+    # the cap is scale-free's alone
+    assert GeneratorSpec("complete", 2**31 + 2).n == 2**31 + 2
+
+
 # --- one integers call over an array of bounds against one call each -------
 # gen_scale_free draws every pick with one integers(0, bounds) call; these
 # pin the numpy behaviour that call rests on, on every numpy the CI runs
