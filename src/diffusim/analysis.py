@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .ensemble import replication_seeds
-from .generators import GeneratorSpec
+from .generators import _spec
 from .graph import Graph, _bfs_levels, connected_components, \
     mean_offdiagonal_weight
 
@@ -38,21 +38,19 @@ __all__ = [
 
 def matrix_average_convergence(
         family: str, sizes: Iterable[int], seed: int = 0,
-        edge_prob: float = 0.5) -> list[tuple[int, float]]:
+        edge_prob: float | None = None) -> list[tuple[int, float]]:
     """Mean off-diagonal weight of one generated graph per size.
 
-    The graph for ``sizes[i]`` uses the graph seed of replication i,
-    ``replication_seeds(seed, i)[0]``, so the returned sequence is
-    deterministic in (family, sizes, seed).
+    The graph for ``sizes[i]`` uses ``replication_seeds(seed, i)[0]``, so the
+    result is deterministic in (family, sizes, seed); complete, too, checks
+    ``seed``. ``edge_prob`` is for random only (None: 0.5).
     """
     sizes = list(sizes)
     if not sizes:
         raise ValueError("sizes must be nonempty")
     out = []
     for i, n in enumerate(sizes):
-        prob = edge_prob if family == "random" else None
-        spec = GeneratorSpec(family, n, prob, None if family == "complete"
-                             else replication_seeds(seed, i)[0])
+        spec = _spec(family, n, edge_prob, replication_seeds(seed, i)[0])
         out.append((n, mean_offdiagonal_weight(spec.build())))
     return out
 

@@ -30,7 +30,7 @@ from .analysis import (characteristic_path_length, clustering_coefficient,
                        fit_power_law)
 from .diffusion import ContactModel, SimulationConfig, run
 from .ensemble import EnsembleConfig, compare_ensembles, run_ensemble
-from .generators import FAMILIES, GeneratorSpec, _seed
+from .generators import FAMILIES, GeneratorSpec, _seed, _spec
 from .graph import Graph, degree_histogram, mean_offdiagonal_weight
 from .matrixio import (MatrixFormatError, export_link_matrix,
                        export_probability_matrix, graph_from_json,
@@ -53,9 +53,9 @@ def _write(args, files: dict[str, str]) -> None:
     """Write each ``{name: text}`` into the output directory, in order."""
     outdir = Path(getattr(args, "outdir", None)
                   or os.environ.get("DIFFUSIM_OUTDIR") or ".")
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
         path = outdir / name
+        path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8", newline="\n")
         print(f"wrote {path}")
 
@@ -86,14 +86,9 @@ def _int_list(value: str) -> list[int]:
 # generate
 # ---------------------------------------------------------------------------
 
-def _generator_spec(family, n, edge_prob, seed) -> GeneratorSpec:
-    return GeneratorSpec(family, n, edge_prob,
-                         None if family == "complete" else seed)
-
-
 def cmd_generate(parser, args) -> int:
     try:
-        spec = _generator_spec(args.family, args.n, args.edge_prob, args.seed)
+        spec = _spec(args.family, args.n, args.edge_prob, args.seed)
     except ValueError as exc:
         parser.error(str(exc))
     g = spec.build()
@@ -202,7 +197,7 @@ def cmd_simulate(parser, args) -> int:
     initials = ([len(args.initial_vertices)] if args.initial_vertices
                 else args.initial)
     try:
-        spec = None if args.graph else _generator_spec(
+        spec = None if args.graph else _spec(
             args.family, args.n, args.edge_prob, args.graph_seed)
         ecfgs = [EnsembleConfig(
             base=SimulationConfig(model=args.model, initial_informed=k,

@@ -106,17 +106,24 @@ class GeneratorSpec:
             return _grow_scale_free(self.n, self.seed)
         # complete, random and stochastic: one draw per unordered pair, in
         # the documented lexicographic order of np.triu_indices
-        rng = None if self.seed is None else make_rng(self.seed)
         u, v = np.triu_indices(self.n, k=1)
         w = None
         if self.family == "random":
-            keep = rng.random(u.size) < self.edge_prob
+            keep = make_rng(self.seed).random(u.size) < self.edge_prob
             u, v = u[keep], v[keep]
         elif self.family == "stochastic":
-            w = rng.random(u.size)
+            w = make_rng(self.seed).random(u.size)
         return Graph(self.n, (u.astype(np.int64), v.astype(np.int64),
                               np.ones(u.size, dtype=np.float64)
                               if w is None else w))
+
+
+def _spec(family, n, edge_prob, seed) -> GeneratorSpec:
+    """Spec from a seed held for any family; complete checks, then drops it."""
+    if family == "complete":
+        _seed(seed, "graph seed")
+        seed = None
+    return GeneratorSpec(family, n, edge_prob, seed)
 
 
 def gen_complete(n: int) -> Graph:
@@ -124,8 +131,8 @@ def gen_complete(n: int) -> Graph:
     return GeneratorSpec("complete", n).build()
 
 
-def gen_random(n: int, edge_prob: float = 0.5, seed: int = 0) -> Graph:
-    """Each pair independently gets a weight-1.0 edge with edge_prob."""
+def gen_random(n: int, edge_prob: float | None = None, seed: int = 0) -> Graph:
+    """Each pair is, i.i.d., a weight-1.0 edge with edge_prob (None: 0.5)."""
     return GeneratorSpec("random", n, edge_prob, seed).build()
 
 

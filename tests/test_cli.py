@@ -385,6 +385,10 @@ def test_reproduce_bad_manifest_exit_1(tmp_path, capsys, manifest):
     (["simulate", "--family", "random", "--n", "5", "--graph-seed", "-1"],
      2),
     (["simulate", "--family", "complete", "--n", "5", "--seed", "-3"], 2),
+    # complete checks the seed it then drops
+    (["generate", "--family", "complete", "--n", "5", "--seed", "-1"], 2),
+    (["simulate", "--family", "complete", "--n", "5", "--graph-seed", "-1"],
+     2),
 ])
 def test_negative_seed_fails_cleanly_without_artifacts(tmp_path, capsys,
                                                        args, code):
@@ -634,6 +638,18 @@ def test_analyze_out_ignores_outdir_env(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == "wrote c.json\n"
     assert (tmp_path / "c.json").exists()
     assert not (tmp_path / "envdir").exists()
+
+
+def test_analyze_out_creates_its_directory(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "path.graph.json"
+    graph.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+                     encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["analyze", "--graph", str(graph), "--stat", "clustering",
+                    "--out", "nodir/x.txt"]) == 0
+    assert capsys.readouterr().out == f"wrote {Path('nodir/x.txt')}\n"
+    assert json.loads((tmp_path / "nodir" / "x.txt").read_text()) == {
+        "n": 3, "clustering_coefficient": 0.0}
 
 
 def test_analyze_path_length(tmp_path, capsys):

@@ -37,6 +37,8 @@ def test_spec_rejects_family_irrelevant_parameters():
         GeneratorSpec("complete", 5, None, 1)
     with pytest.raises(ValueError, match="requires a seed"):
         GeneratorSpec("scale-free", 5)
+    with pytest.raises(ValueError, match="edge_prob is not used"):
+        matrix_average_convergence("stochastic", [5], edge_prob=0.3)
 
 
 # each config checks its seed when it is built; the error names the field
@@ -46,9 +48,15 @@ SEEDED = {
 }
 
 
+def _refuse_base_seed(s):
+    # complete checks the base seed too, though it then drops the graph seed
+    with pytest.raises(ValueError, match="^base seed must be an integer >= 0"):
+        matrix_average_convergence("complete", [5], seed=s)
+    matrix_average_convergence("random", [5], seed=s)
+
+
 # replication_seeds derives every ensemble's and analysis' graph seeds
-REFUSED = {**SEEDED, "base seed": lambda s: matrix_average_convergence(
-    "random", [5], seed=s)}
+REFUSED = {**SEEDED, "base seed": _refuse_base_seed}
 
 
 @pytest.mark.parametrize("field", REFUSED)
