@@ -4,7 +4,9 @@ Replication i derives its seeds from the base simulation seed through
 numpy's SeedSequence spawning: the two 64-bit words of
 ``SeedSequence(base_seed, spawn_key=(i,))`` become the graph seed and the
 run seed for that replication. In fixed-graph mode the graph seed is
-ignored and the generator spec's own seed is used once.
+ignored and the generator spec's own seed is used once. Regenerated
+stochastic graphs reweight one complete graph, built once per call: they
+share its read-only arrays, which are freed when ``run_ensemble`` returns.
 
 Trajectories of unequal length are extended at their terminal value to
 the longest horizon (the informed count is absorbing). Per-loop mean and
@@ -30,7 +32,7 @@ import numpy as np
 
 from .diffusion import SimulationConfig, _first_loops, run
 from .generators import GeneratorSpec, _seed
-from .graph import Graph, _count
+from .graph import _count
 
 __all__ = [
     "EnsembleConfig",
@@ -201,16 +203,16 @@ def _aggregate(n: int, trajectories: list[list[int]]) -> EnsembleSummary:
 
 def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     """Execute the replications and aggregate their trajectories."""
-    fixed_graph: Graph | None = None
-    if not cfg.regenerate_graph or cfg.generator.seed is None:
-        fixed_graph = cfg.generator.build()
-
+    gen = cfg.generator
+    if not isinstance(gen, GeneratorSpec):
+        raise ValueError(f"generator must be a GeneratorSpec, got {gen!r}")
+    build = gen._builder(cfg.regenerate_graph)
     trajectories: list[list[int]] = []
     for i in range(cfg.replications):
         graph_seed, run_seed = replication_seeds(cfg.base.seed, i)
-        g = fixed_graph or replace(cfg.generator, seed=graph_seed).build()
+        g = build(graph_seed)
         trajectories.append(run(g, replace(cfg.base, seed=run_seed)).counts)
-    return _aggregate(cfg.generator.n, trajectories)
+    return _aggregate(gen.n, trajectories)
 
 
 @dataclass(frozen=True, eq=False)

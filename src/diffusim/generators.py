@@ -25,7 +25,7 @@ Stream consumption is part of the contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,6 +116,21 @@ class GeneratorSpec:
         return Graph(self.n, (u.astype(np.int64), v.astype(np.int64),
                               np.ones(u.size, dtype=np.float64)
                               if w is None else w))
+
+    def _builder(self, regenerate: bool):
+        """``seed -> graph`` for an ensemble: one ``build()`` for every seed
+        when not ``regenerate`` or seedless, else this spec at ``seed``.
+        Stochastic graphs then reweight one complete graph, sorted once."""
+        if not regenerate or self.seed is None:
+            graph = self.build()
+            return lambda _seed: graph
+        if self.family != "stochastic":
+            return lambda seed: replace(self, seed=seed).build()
+        pattern = GeneratorSpec("complete", self.n).build()
+        slot_pair = pattern._build_adjacency() % max(pattern.edge_count, 1)
+        # build's stochastic draw, on the same pairs in the same order
+        return lambda seed: pattern._reweighted(
+            slot_pair, make_rng(seed).random(pattern.edge_count))
 
 
 def _spec(family, n, edge_prob, seed) -> GeneratorSpec:

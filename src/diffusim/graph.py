@@ -160,7 +160,7 @@ class Graph:
                            self._ew.tolist()):
             yield u, v, w
 
-    def _build_adjacency(self) -> None:
+    def _build_adjacency(self) -> np.ndarray:
         du = np.concatenate([self._ev, self._eu])
         dv = np.concatenate([self._eu, self._ev])
         dw = np.concatenate([self._ew, self._ew])
@@ -173,6 +173,19 @@ class Graph:
         # one key per CSR position: _nbrw[i] is the weight of _pair_keys[i]
         self._pair_keys = du * self.n + dv
         self._degrees = counts.astype(np.int64)
+        return order  # CSR slot i holds edge order[i] mod edge_count
+
+    def _reweighted(self, slot_pair: np.ndarray, weights) -> "Graph":
+        """This graph with edge i weighted ``weights[i]``, built unchecked;
+        ``slot_pair[i]`` is the edge of CSR slot i. It shares every other
+        array with this graph, so all of its arrays are made read-only."""
+        g = Graph.__new__(Graph)
+        for name in Graph.__slots__:
+            setattr(g, name, getattr(self, name))
+        g._ew, g._nbrw = weights, weights.take(slot_pair)
+        for name in Graph.__slots__[1:]:
+            getattr(g, name).setflags(write=False)
+        return g
 
     def _adj(self):
         if self._indptr is None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,6 +183,12 @@ def test_replications_validation():
         make_cfg(reps=0)
 
 
+def test_run_ensemble_without_generator_is_a_value_error():
+    cfg = EnsembleConfig(SimulationConfig("broadcast", 1, 5, 0), None, 2)
+    with pytest.raises(ValueError, match="generator"):
+        run_ensemble(cfg)
+
+
 def test_summary_json_dict():
     s = run_ensemble(make_cfg(family="complete", n=10, initial=1, reps=4,
                               model="broadcast"))
@@ -191,6 +198,65 @@ def test_summary_json_dict():
     assert d["saturation"]["mean"] == 1.0
     assert d["saturation"]["censored"] == 0
     assert d["threshold_fraction"] == 0.9
+
+
+# --- regenerated stochastic graphs reweight one complete graph ---------------
+
+DENSE_SPECS = [GeneratorSpec("stochastic", n, None, 5) for n in (1, 2, 3, 100)]
+DENSE_SPECS += [GeneratorSpec("random", n, p, 5)
+                for n in (1, 2, 3, 100) for p in (0, 0.5, 1)]
+
+
+@pytest.mark.parametrize(
+    "spec", DENSE_SPECS,
+    ids=lambda s: f"{s.family}-n{s.n}-p{s.edge_prob}")
+def test_pattern_built_graphs_equal_public_builds(spec):
+    build = spec._builder(True)
+    for i in range(3):
+        seed = replication_seeds(11, i)[0]
+        g, ref = build(seed), replace(spec, seed=seed).build()
+        assert g == ref
+        g._adj(), ref._adj()
+        for name in ("_indptr", "_nbr", "_nbrw", "_pair_keys", "_degrees"):
+            got, want = getattr(g, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+
+def test_pattern_built_graphs_are_read_only():
+    spec = GeneratorSpec("stochastic", 6, None, 3)
+    build = spec._builder(True)
+    g, h = build(1), build(2)
+    for arr in (g.edge_arrays()[0], g.neighbors(0), g.neighbor_weights(0)):
+        with pytest.raises(ValueError):
+            arr[0] = 5
+    ref = replace(spec, seed=2).build()
+    assert h == ref
+    for v in range(6):
+        assert h.neighbors(v).tolist() == ref.neighbors(v).tolist()
+        assert h.neighbor_weights(v).tolist() == \
+            ref.neighbor_weights(v).tolist()
+
+
+@pytest.mark.parametrize("family, edge_prob", [
+    ("random", 0), ("random", 0.5), ("stochastic", None)])
+def test_dense_ensemble_matches_loop_of_public_builds(family, edge_prob):
+    # at edge_prob 0 every vertex is isolated, so run pads every trajectory
+    cfg = make_cfg(family=family, n=20, reps=12, max_loops=40,
+                   edge_prob=edge_prob)
+    counts = []
+    for i in range(cfg.replications):
+        graph_seed, run_seed = replication_seeds(cfg.base.seed, i)
+        g = replace(cfg.generator, seed=graph_seed).build()
+        counts.append(run(g, replace(cfg.base, seed=run_seed)).counts)
+    if edge_prob == 0:
+        assert all(c == [3] * 41 for c in counts)
+    want, got = _aggregate(20, counts), run_ensemble(cfg)
+    for name in ("mean", "sd", "p10", "p50", "p90"):
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    for name in ("saturation", "threshold"):
+        assert getattr(got, name).times.tolist() == \
+            getattr(want, name).times.tolist()
 
 
 # --- the bootstrap interval ---------------------------------------------------
