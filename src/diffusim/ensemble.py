@@ -7,6 +7,8 @@ run seed for that replication. In fixed-graph mode the graph seed is
 ignored and the generator spec's own seed is used once. Regenerated
 stochastic graphs reweight one complete graph, built once per call: they
 share its read-only arrays, which are freed when ``run_ensemble`` returns.
+Regenerated random graphs share nothing: each gets its CSR from the pair
+mask its draw fills, without a sort, and is freed when its run returns.
 
 Trajectories of unequal length are extended at their terminal value to
 the longest horizon (the informed count is absorbing). Per-loop mean and
@@ -210,8 +212,9 @@ def run_ensemble(cfg: EnsembleConfig) -> EnsembleSummary:
     trajectories: list[list[int]] = []
     for i in range(cfg.replications):
         graph_seed, run_seed = replication_seeds(cfg.base.seed, i)
-        g = build(graph_seed)
-        trajectories.append(run(g, replace(cfg.base, seed=run_seed)).counts)
+        # the graph dies with its run: no two are alive at once
+        trajectories.append(
+            run(build(graph_seed), replace(cfg.base, seed=run_seed)).counts)
     return _aggregate(gen.n, trajectories)
 
 

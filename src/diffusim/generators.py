@@ -12,7 +12,10 @@ whose bit stream is stable across platforms and numpy releases, so the same
 Stream consumption is part of the contract:
 
 * ``gen_random`` / ``gen_stochastic`` draw one uniform per unordered vertex
-  pair in lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...
+  pair in lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...: the
+  row-major cells of an n x n pair mask's strict upper triangle. The edges
+  are read from that mask, and so is the CSR of each graph of a
+  regenerated random ensemble, since every one of them is run.
 * ``gen_scale_free`` attaches vertex 1 to vertex 0 without randomness, then
   for each vertex t = 2..n-1 draws one integer index into the
   degree-weighted attachment pool. All indices come from one
@@ -104,28 +107,40 @@ class GeneratorSpec:
         """The graph of this family, size and seed."""
         if self.family == "scale-free":
             return _grow_scale_free(self.n, self.seed)
-        # complete, random and stochastic: one draw per unordered pair, in
-        # the documented lexicographic order of np.triu_indices
-        u, v = np.triu_indices(self.n, k=1)
+        return self._dense(self.seed)[0]
+
+    def _dense(self, seed) -> tuple[Graph, np.ndarray]:
+        """This complete, random or stochastic spec's graph at ``seed``, and
+        its pair mask: the n x n boolean matrix true at (u, v), u < v, for
+        each edge {u, v}."""
+        # one draw per cell of the strict upper triangle, in row-major
+        # order: the documented lexicographic pair order
+        n = self.n
+        upper = ~np.tri(n, dtype=bool)
         w = None
         if self.family == "random":
-            keep = make_rng(self.seed).random(u.size) < self.edge_prob
-            u, v = u[keep], v[keep]
+            upper[upper] = make_rng(seed).random(n * (n - 1) // 2) < \
+                self.edge_prob
         elif self.family == "stochastic":
-            w = make_rng(self.seed).random(u.size)
-        return Graph(self.n, (u.astype(np.int64), v.astype(np.int64),
-                              np.ones(u.size, dtype=np.float64)
-                              if w is None else w))
+            w = make_rng(seed).random(n * (n - 1) // 2)
+        # cell (u, v) has the flat index u * n + v
+        cells = np.flatnonzero(upper)
+        u = cells // n
+        return Graph(n, (u, cells - u * n, np.ones(cells.size)
+                         if w is None else w)), upper
 
     def _builder(self, regenerate: bool):
         """``seed -> graph`` for an ensemble: one ``build()`` for every seed
         when not ``regenerate`` or seedless, else this spec at ``seed``.
-        Stochastic graphs then reweight one complete graph, sorted once."""
+        Random graphs then come with their CSR, filled from the pair mask;
+        stochastic graphs reweight one complete graph, sorted once."""
         if not regenerate or self.seed is None:
             graph = self.build()
             return lambda _seed: graph
-        if self.family != "stochastic":
+        if self.family == "scale-free":
             return lambda seed: replace(self, seed=seed).build()
+        if self.family == "random":
+            return lambda seed: Graph._with_mask_adjacency(*self._dense(seed))
         pattern = GeneratorSpec("complete", self.n).build()
         slot_pair = pattern._build_adjacency() % max(pattern.edge_count, 1)
         # build's stochastic draw, on the same pairs in the same order

@@ -9,10 +9,12 @@ Storage is edge-array based with a lazily built CSR adjacency, so
 construction from bulk numpy arrays is cheap and neighbor iteration is
 O(degree). The CSR build is one stable sort on the row: edges are kept in
 canonical order, so listing each row's lower neighbours first leaves them
-ascending. ``Graph._gather`` turns a batch of vertices into the CSR
-positions of all their rows at once; breadth-first search, clustering and
-broadcast diffusion expand whole frontiers with it instead of slicing one
-row per vertex.
+ascending. A graph whose edges come from an n x n pair mask and weigh 1.0,
+as a regenerated random ensemble's do, can fill its CSR from the mask
+instead, without a sort. ``Graph._gather`` turns a batch of vertices into
+the CSR positions of all their rows at once; breadth-first search,
+clustering and broadcast diffusion expand whole frontiers with it instead
+of slicing one row per vertex.
 """
 
 from __future__ import annotations
@@ -174,6 +176,20 @@ class Graph:
         self._pair_keys = du * self.n + dv
         self._degrees = counts.astype(np.int64)
         return order  # CSR slot i holds edge order[i] mod edge_count
+
+    def _with_mask_adjacency(self, upper: np.ndarray) -> "Graph":
+        """This graph, its CSR built without a sort from ``upper``, the n x n
+        boolean matrix true at (u, v), u < v, for each edge {u, v}; every
+        edge must weigh 1.0. Pair key u * n + v is the flat index of cell
+        (u, v), so the true cells of ``upper | upper.T`` are the CSR's keys
+        in order."""
+        n = self.n
+        keys = np.flatnonzero(upper | upper.T)
+        self._pair_keys, self._nbr = keys, keys - keys // n * n
+        self._nbrw = np.ones(keys.size)
+        self._indptr = keys.searchsorted(np.arange(n + 1) * n)
+        self._degrees = np.diff(self._indptr)
+        return self
 
     def _reweighted(self, slot_pair: np.ndarray, weights) -> "Graph":
         """This graph with edge i weighted ``weights[i]``, built unchecked;

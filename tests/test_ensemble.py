@@ -9,6 +9,7 @@ import pytest
 from diffusim import (
     EnsembleConfig,
     GeneratorSpec,
+    Graph,
     SimulationConfig,
     compare_ensembles,
     replication_seeds,
@@ -200,11 +201,14 @@ def test_summary_json_dict():
     assert d["threshold_fraction"] == 0.9
 
 
-# --- regenerated stochastic graphs reweight one complete graph ---------------
+# --- regenerated dense graphs: stochastic ones reweight one complete graph,
+# random ones take their CSR from the pair mask ------------------------------
 
-DENSE_SPECS = [GeneratorSpec("stochastic", n, None, 5) for n in (1, 2, 3, 100)]
+DENSE_N = (1, 2, 3, 17, 100)
+DENSE_SPECS = [GeneratorSpec("stochastic", n, None, 5) for n in DENSE_N]
+# at edge_prob 0.01 most rows are empty
 DENSE_SPECS += [GeneratorSpec("random", n, p, 5)
-                for n in (1, 2, 3, 100) for p in (0, 0.5, 1)]
+                for n in DENSE_N for p in (0, 0.01, 0.5, 1)]
 
 
 @pytest.mark.parametrize(
@@ -217,7 +221,8 @@ def test_pattern_built_graphs_equal_public_builds(spec):
         g, ref = build(seed), replace(spec, seed=seed).build()
         assert g == ref
         g._adj(), ref._adj()
-        for name in ("_indptr", "_nbr", "_nbrw", "_pair_keys", "_degrees"):
+        # against _build_adjacency's sorted CSR, by value and dtype
+        for name in Graph.__slots__[1:]:
             got, want = getattr(g, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name

@@ -18,6 +18,7 @@ from diffusim import (
     gen_scale_free,
     gen_stochastic,
     is_connected,
+    make_rng,
     matrix_average_convergence,
     mean_offdiagonal_weight,
 )
@@ -259,6 +260,50 @@ def test_scale_free_attachment_tracks_degree():
 def test_same_seed_same_graph(build):
     assert build(123) == build(123)
     assert build(123) != build(124)
+
+
+# --- dense families against the documented pair order -----------------------
+
+def ref_dense(family, n, edge_prob, seed):
+    """The documented draw: one uniform per pair of ``np.triu_indices``."""
+    u, v = np.triu_indices(n, k=1)
+    u, v, w = u.astype(np.int64), v.astype(np.int64), np.ones(u.size)
+    if family == "random":
+        keep = make_rng(seed).random(u.size) < edge_prob
+        u, v, w = u[keep], v[keep], w[keep]
+    elif family == "stochastic":
+        w = make_rng(seed).random(u.size)
+    return Graph(n, (u, v, w))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 100])
+@pytest.mark.parametrize("family, edge_prob", [
+    ("complete", None), ("stochastic", None), ("random", 0), ("random", 0.01),
+    ("random", 0.5), ("random", 1)])
+def test_dense_build_draws_pairs_in_lexicographic_order(family, n, edge_prob):
+    seed = None if family == "complete" else 5
+    got = GeneratorSpec(family, n, edge_prob, seed).build()
+    want = ref_dense(family, n, edge_prob, seed)
+    for got_arr, want_arr in zip(got.edge_arrays(), want.edge_arrays()):
+        assert got_arr.dtype == want_arr.dtype
+        np.testing.assert_array_equal(got_arr, want_arr)
+
+
+@pytest.mark.parametrize("regenerated", [False, True])
+def test_random_build_peak_memory(regenerated):
+    # the pair mask takes 1 byte per vertex cell and the draw 8 per pair,
+    # about 21 MB here; int64 pair-index arrays would add 32 MB
+    spec = GeneratorSpec("random", 2000, 0.01, 3)
+    tracemalloc.start()
+    try:
+        if regenerated:
+            spec._builder(True)(4)._adj()  # an ensemble graph, with its CSR
+        else:
+            spec.build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 << 20, peak
 
 
 # --- scale-free growth against the per-vertex loop it replaced ---------------
