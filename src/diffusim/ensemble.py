@@ -4,11 +4,8 @@ Replication i derives its seeds from the base simulation seed through
 numpy's SeedSequence spawning: the two 64-bit words of
 ``SeedSequence(base_seed, spawn_key=(i,))`` become the graph seed and the
 run seed for that replication. In fixed-graph mode the graph seed is
-ignored and the generator spec's own seed is used once. Regenerated
-stochastic graphs reweight one complete graph, built once per call: they
-share its read-only arrays, which are freed when ``run_ensemble`` returns.
-Regenerated random graphs share nothing: each gets its CSR from the pair
-mask its draw fills, without a sort, and is freed when its run returns.
+ignored and the generator spec's own seed is used once.
+``GeneratorSpec._builder`` builds regenerated graphs and says what they share.
 
 Trajectories of unequal length are extended at their terminal value to
 the longest horizon (the informed count is absorbing). Per-loop mean and
@@ -153,13 +150,10 @@ class EnsembleSummary:
             self.saturation, self.threshold)
 
     def to_csv(self) -> str:
-        lines = ["loop,mean,sd,p10,p50,p90"]
-        for loop in range(self.mean.size):
-            lines.append(
-                f"{loop},{self.mean[loop]:.6f},{self.sd[loop]:.6f},"
-                f"{int(self.p10[loop])},{int(self.p50[loop])},"
-                f"{int(self.p90[loop])}")
-        return "\n".join(lines) + "\n"
+        rows = zip(range(self.mean.size), self.mean.tolist(), self.sd.tolist(),
+                   self.p10.tolist(), self.p50.tolist(), self.p90.tolist())
+        return "loop,mean,sd,p10,p50,p90\n" + \
+            "".join("%d,%.6f,%.6f,%d,%d,%d\n" % row for row in rows)
 
     def to_json_dict(self) -> dict:
         return {

@@ -132,8 +132,9 @@ class GeneratorSpec:
     def _builder(self, regenerate: bool):
         """``seed -> graph`` for an ensemble: one ``build()`` for every seed
         when not ``regenerate`` or seedless, else this spec at ``seed``.
-        Random graphs then come with their CSR, filled from the pair mask;
-        stochastic graphs reweight one complete graph, sorted once."""
+        Random graphs then come with their CSR, filled from the pair mask,
+        and share nothing; stochastic graphs reweight one complete graph,
+        sorted once, and share its arrays while the builder lives."""
         if not regenerate or self.seed is None:
             graph = self.build()
             return lambda _seed: graph

@@ -7,14 +7,15 @@ between concurrent simulation runs.
 
 Storage is edge-array based with a lazily built CSR adjacency, so
 construction from bulk numpy arrays is cheap and neighbor iteration is
-O(degree). The CSR build is one stable sort on the row: edges are kept in
-canonical order, so listing each row's lower neighbours first leaves them
-ascending. A graph whose edges come from an n x n pair mask and weigh 1.0,
-as a regenerated random ensemble's do, can fill its CSR from the mask
-instead, without a sort. ``Graph._gather`` turns a batch of vertices into
-the CSR positions of all their rows at once; breadth-first search,
-clustering and broadcast diffusion expand whole frontiers with it instead
-of slicing one row per vertex.
+O(degree). A graph holds only arrays of its own, read-only, each stored
+by ``Graph._hold``. The CSR build is one stable sort on the row: edges
+are kept in canonical order, so listing each row's lower neighbours first
+leaves them ascending. A graph whose edges come from an n x n pair mask
+and weigh 1.0, as a regenerated random ensemble's do, can fill its CSR
+from the mask instead, without a sort; both fills end in ``Graph._csr``.
+``Graph._gather`` turns a batch of vertices into the CSR positions of all
+their rows at once; breadth-first search, clustering and broadcast
+diffusion expand whole frontiers with it instead of slicing one row each.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class Graph:
         out-of-range vertex ids and weights outside [0, 1] are rejected.
         ``n`` and vertex ids, here and in every query, must be integral
         numbers compared exactly: ``2.0`` passes, ``2.5`` and ``"2"`` raise.
+        Arrays passed in are copied; every array returned is read-only.
     """
 
     __slots__ = ("n", "_eu", "_ev", "_ew", "_indptr", "_nbr", "_nbrw",
@@ -122,29 +124,29 @@ class Graph:
                 raise ValueError(f"self-loop on vertex {bad} not allowed")
             if not _is_probability(ew):
                 raise ValueError("edge weights must be numbers in [0, 1]")
-        ew = ew.astype(np.float64, copy=False)
 
         # canonical order: u < v, then lexicographic. Input that already
         # strictly increases in that order has no duplicate and skips the
         # sort. Pairs are compared as (lo, hi), not as keys lo * n + hi,
-        # which overflow int64 once n passes 3e9.
+        # which overflow int64 once n passes 3e9. The weights are copied
+        # once, so no caller's array reaches the graph.
         lo = np.minimum(eu, ev)
         hi = np.maximum(eu, ev)
         step_lo = np.diff(lo)
-        if not ((step_lo > 0) | ((step_lo == 0) & (np.diff(hi) > 0))).all():
+        if ((step_lo > 0) | ((step_lo == 0) & (np.diff(hi) > 0))).all():
+            ew = ew.astype(np.float64)
+        else:
             order = np.lexsort((hi, lo))
-            lo, hi, ew = lo[order], hi[order], ew[order]
+            lo, hi = lo[order], hi[order]
+            ew = ew.astype(np.float64, copy=False)[order]
             dup = np.flatnonzero((np.diff(lo) == 0) & (np.diff(hi) == 0))
             if dup.size:
                 i = int(dup[0])
                 raise ValueError(
                     f"duplicate edge {{{int(lo[i])}, {int(hi[i])}}}")
-        self._eu, self._ev, self._ew = lo, hi, ew
-        self._indptr = None
-        self._nbr = None
-        self._nbrw = None
-        self._pair_keys = None
-        self._degrees = None
+        self._indptr = self._nbr = self._nbrw = self._pair_keys = \
+            self._degrees = None
+        self._hold(_eu=lo, _ev=hi, _ew=ew)
 
     # -- construction helpers -------------------------------------------------
 
@@ -162,48 +164,49 @@ class Graph:
                            self._ew.tolist()):
             yield u, v, w
 
+    def _hold(self, **arrays: np.ndarray) -> "Graph":
+        """This graph, holding each of ``arrays`` in the slot of its name,
+        read-only: every array a graph holds is stored here."""
+        for name, array in arrays.items():
+            array.setflags(write=False)
+            setattr(self, name, array)
+        return self
+
+    def _csr(self, keys: np.ndarray, nbrw: np.ndarray) -> "Graph":
+        """This graph holding the CSR whose slot i is the pair with key
+        ``keys[i]`` = u * n + v, weighted ``nbrw[i]``; keys ascend."""
+        n = self.n
+        indptr = keys.searchsorted(np.arange(n + 1) * n)
+        return self._hold(_indptr=indptr, _nbr=keys - keys // n * n,
+                          _nbrw=nbrw, _pair_keys=keys,
+                          _degrees=np.diff(indptr))
+
     def _build_adjacency(self) -> np.ndarray:
         du = np.concatenate([self._ev, self._eu])
-        dv = np.concatenate([self._eu, self._ev])
-        dw = np.concatenate([self._ew, self._ew])
+        keys = du * self.n + np.concatenate([self._eu, self._ev])
         order = np.argsort(du, kind="stable")
-        du, dv, dw = du[order], dv[order], dw[order]
-        counts = np.bincount(du, minlength=self.n)
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        self._indptr, self._nbr, self._nbrw = indptr, dv, dw
-        # one key per CSR position: _nbrw[i] is the weight of _pair_keys[i]
-        self._pair_keys = du * self.n + dv
-        self._degrees = counts.astype(np.int64)
+        self._csr(keys[order], np.concatenate([self._ew, self._ew])[order])
         return order  # CSR slot i holds edge order[i] mod edge_count
 
     def _with_mask_adjacency(self, upper: np.ndarray) -> "Graph":
-        """This graph, its CSR built without a sort from ``upper``, the n x n
-        boolean matrix true at (u, v), u < v, for each edge {u, v}; every
-        edge must weigh 1.0. Pair key u * n + v is the flat index of cell
-        (u, v), so the true cells of ``upper | upper.T`` are the CSR's keys
-        in order."""
-        n = self.n
+        """This graph, its CSR filled from ``upper``, the n x n boolean
+        matrix true at (u, v), u < v, for each edge {u, v}; every edge must
+        weigh 1.0. Pair key u * n + v is the flat index of cell (u, v), so
+        the true cells of ``upper | upper.T`` are the CSR's keys in order."""
         keys = np.flatnonzero(upper | upper.T)
-        self._pair_keys, self._nbr = keys, keys - keys // n * n
-        self._nbrw = np.ones(keys.size)
-        self._indptr = keys.searchsorted(np.arange(n + 1) * n)
-        self._degrees = np.diff(self._indptr)
-        return self
+        return self._csr(keys, np.ones(keys.size))
 
     def _reweighted(self, slot_pair: np.ndarray, weights) -> "Graph":
         """This graph with edge i weighted ``weights[i]``, built unchecked;
         ``slot_pair[i]`` is the edge of CSR slot i. It shares every other
-        array with this graph, so all of its arrays are made read-only."""
+        array with this graph, whose CSR must be built."""
         g = Graph.__new__(Graph)
         for name in Graph.__slots__:
             setattr(g, name, getattr(self, name))
-        g._ew, g._nbrw = weights, weights.take(slot_pair)
-        for name in Graph.__slots__[1:]:
-            getattr(g, name).setflags(write=False)
-        return g
+        return g._hold(_ew=weights, _nbrw=weights.take(slot_pair))
 
     def _adj(self):
+        """The CSR, built on first use; every reader of the CSR calls it."""
         if self._indptr is None:
             self._build_adjacency()
         return self._indptr, self._nbr, self._nbrw
@@ -232,8 +235,7 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex, as an int64 array of length n."""
-        if self._degrees is None:
-            self._build_adjacency()
+        self._adj()
         return self._degrees
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -255,23 +257,21 @@ class Graph:
 
     def weight(self, u: int, v: int) -> float:
         """Weight of edge {u, v}; 0.0 when the pair is not connected."""
-        uv = _vertex_ids([u, v], self.n)
-        return float(self.pair_weights(uv[:1], uv[1:])[0])
+        return self.pair_weights([u], [v]).item()
 
-    def pair_weights(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`weight` for endpoint arrays that broadcast
+    def pair_weights(self, us, vs) -> np.ndarray:
+        """Vectorized :meth:`weight` for vertex-id arrays that broadcast
         together; the result has their broadcast shape."""
-        self._adj()
         return self._key_weights(
-            us.astype(np.int64, copy=False) * self.n + vs, False)
+            _vertex_ids(us, self.n) * self.n + _vertex_ids(vs, self.n), False)
 
     def _key_weights(self, keys: np.ndarray,
                      closed: np.ndarray | bool) -> np.ndarray:
         """Weights of the pairs with int64 keys ``u * n + v``, in the shape
-        of ``keys``: 0.0 where {u, v} is no edge or ``closed`` is True.
-        The adjacency must be built."""
+        of ``keys``: 0.0 where {u, v} is no edge or ``closed`` is True."""
         # ndarray methods and in-place updates: random-contact diffusion
         # looks up one small block of contacts per call
+        self._adj()
         pk = self._pair_keys
         if pk.size == 0:
             return np.zeros(keys.shape)

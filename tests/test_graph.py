@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diffusim import (
+    FAMILIES,
     DiffusionState,
     EnsembleConfig,
     GeneratorSpec,
@@ -16,6 +17,9 @@ from diffusim import (
     degree_histogram,
     gen_complete,
     gen_random,
+    graph_from_json,
+    graph_to_json,
+    import_matrix,
     is_connected,
     mean_offdiagonal_weight,
     run,
@@ -105,6 +109,56 @@ def test_pair_weights_vectorized():
     vs = np.array([69_998, 69_999, 69_997], dtype=np.int32)
     assert (us * np.int32(n)).tolist() != (us.astype(np.int64) * n).tolist()
     assert g.pair_weights(us, vs).tolist() == [0.5, 0.5, 0.0]
+    # ids follow the vertex-id rule: 0 * 3 + 5 would be the key of {1, 2}
+    g = Graph(3, [(1, 2, 0.7)])
+    with pytest.raises(ValueError, match=r"vertex id 5 outside \[0, 3\)"):
+        g.pair_weights(np.array([0]), np.array([5]))
+    assert g.pair_weights([1, 2, 0], [2, 1.0, 1]).tolist() == [0.7, 0.7, 0.0]
+
+
+def _array_triple(order):
+    """A graph from arrays in ``order`` of its canonical edges, and the
+    weight array it was given."""
+    u, v = np.array([0, 0, 1])[order], np.array([1, 2, 2])[order]
+    w = np.array([0.5, 0.25, 1.0])[order]
+    return Graph(3, (u, v, w)), w
+
+
+def _family_graph(family):
+    return GeneratorSpec(family, 6, 0.5 if family == "random" else None,
+                         None if family == "complete" else 3).build(), None
+
+
+CONSTRUCTIONS = {
+    "triples": lambda: (Graph(3, [(2, 0, 0.25), (0, 1, 0.5)]), None),
+    "array-triple": lambda: _array_triple([0, 1, 2]),
+    "array-triple-unsorted": lambda: _array_triple([2, 0, 1]),
+    **{f"build-{f}": lambda f=f: _family_graph(f) for f in FAMILIES},
+    "ensemble-random": lambda: (
+        GeneratorSpec("random", 6, 0.5, 3)._builder(True)(8), None),
+    "ensemble-stochastic": lambda: (
+        GeneratorSpec("stochastic", 6, None, 3)._builder(True)(8), None),
+    "import-matrix": lambda: (
+        import_matrix("0 0.5 0.25\n0.5 0 1\n0.25 1 0\n"), None),
+    "graph-from-json": lambda: (graph_from_json(graph_to_json(G3)), None),
+}
+
+
+@pytest.mark.parametrize("make", CONSTRUCTIONS.values(),
+                         ids=CONSTRUCTIONS.keys())
+def test_every_graph_array_is_read_only(make):
+    g, w = make()
+    edges = [a.copy() for a in g.edge_arrays()]
+    if w is not None:
+        # the caller's array never reaches the graph or its CSR
+        w[...] = np.nan
+    arrays = [*g.edge_arrays(), g.neighbors(0), g.neighbor_weights(0),
+              g.degrees(), *g._adj()]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert all(np.array_equal(a, b) for a, b in zip(g.edge_arrays(), edges))
+    assert np.isfinite(g._adj()[2]).all() and g.neighbors(0).size
 
 
 @pytest.mark.parametrize("edges,msg", [
@@ -142,6 +196,7 @@ G3 = Graph(3, [(0, 1, 0.5), (1, 2, 1.0)])
     (0.6, lambda v: SimulationConfig("broadcast", 1, 5, seed=0,
                                      initial_vertices=(v,))),
     (0.9, lambda v: G3.weight(v, 1)),
+    (1.9, lambda v: G3.pair_weights(np.array([v]), [1]).tolist()),
     (1.99, lambda v: G3.degree(v)),
     (0.7, lambda v: bfs_distances(G3, v).tolist()),
     (0.5, lambda v: DiffusionState(frozenset({v}), 0).mask(3).tolist()),
@@ -159,8 +214,8 @@ G3 = Graph(3, [(0, 1, 0.5), (1, 2, 1.0)])
         SimulationConfig("broadcast", 1, 5, 0),
         GeneratorSpec("random", 4, 0.5, 1), v)).mean.tolist()),
 ], ids=["n", "n-str", "float-edge-array", "initial-vertex", "weight",
-        "degree", "bfs-source", "state-mask", "spec-n", "spec-n-str",
-        "initial-informed", "initial-informed-str", "max-loops",
+        "pair-weights", "degree", "bfs-source", "state-mask", "spec-n",
+        "spec-n-str", "initial-informed", "initial-informed-str", "max-loops",
         "max-loops-str", "replications", "replications-str"])
 def test_vertex_ids_must_be_integral(bad, call):
     # a fraction or a string is never truncated or parsed into an id
