@@ -97,7 +97,7 @@ def clustering_coefficient(g: Graph) -> float:
         d = row.size
         marked[row] = True
         # each link among the neighbours is seen from both of its ends
-        links = int(np.count_nonzero(marked[nbr[g._gather(row)]])) // 2
+        links = int(np.count_nonzero(marked[nbr[g._gather(row)[0]]])) // 2
         marked[row] = False
         total += links / (d * (d - 1) / 2)
     return total / g.n

@@ -161,21 +161,6 @@ def init_state(g: Graph, cfg: SimulationConfig,
     return DiffusionState(frozenset(np.flatnonzero(mask).tolist()), 0)
 
 
-def _contacts(g: Graph, mask: np.ndarray, act: np.ndarray, keys: np.ndarray,
-              u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Targets of actors ``act`` over a block of loops, and which contacts
-    inform someone new.
-
-    ``keys`` is ``act * g.n``, the actors' pair-key rows. ``u`` holds the
-    loops' uniforms as (loops, 2, actors): the pick row, then the coin row,
-    as one loop draws them. A contact informs when its coin falls below the
-    weight of edge {actor, target} and the target is not in ``mask``.
-    """
-    targets = (u[:, 0] * (g.n - 1)).astype(np.int64)
-    targets += targets >= act
-    return targets, u[:, 1] < g._key_weights(keys + targets, mask[targets])
-
-
 def step(g: Graph, state: DiffusionState, model: ContactModel,
          rng: np.random.Generator) -> DiffusionState:
     """Advance one loop of :func:`run`'s engine, drawing from ``rng``; the
@@ -247,19 +232,19 @@ def _spread_broadcast(g: Graph, mask: np.ndarray, counts: list[int],
     _, nbr, nbrw = g._adj()
     act = np.flatnonzero(mask)  # ascending; holds every open edge's source
     while True:
-        edge = g._gather(act)
-        is_open = ~mask[nbr[edge]]
+        edge, lens = g._gather(act)
+        targets = nbr[edge]
+        is_open = ~mask[targets]
         if not is_open.any():
             return
-        edge = edge[is_open]
-        targets = nbr[edge]
+        edge, targets = edge[is_open], targets[is_open]
         hit = rng.random(targets.size) < nbrw[edge]
         mask[targets[hit]] = True
         counts.append(int(np.count_nonzero(mask)))
         if counts[-1] == g.n or len(counts) > max_loops:
             return
         # keep the sources with an edge still open, add the newly informed
-        sources = act.repeat(g.degrees()[act])[is_open]
+        sources = act.repeat(lens)[is_open]
         act = np.sort(np.concatenate((sources[~mask[targets]], targets[hit])))
         act = act[np.diff(act, prepend=-1) > 0]  # np.unique is slower
 
@@ -294,8 +279,13 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                                 2 * a * left))
             rng.random(out=buf[rest:end])
             pos = 0
-        targets, hit = _contacts(
-            g, mask, act, keys, buf[pos:pos + need].reshape(block, 2, a))
+        # the block's uniforms as (loops, 2, actors), each loop's pick row
+        # then coin row; a contact informs when its coin falls below the
+        # weight of edge {actor, target} and the target is uninformed
+        u = buf[pos:pos + need].reshape(block, 2, a)
+        targets = (u[:, 0] * (n - 1)).astype(np.int64)
+        targets += targets >= act
+        hit = u[:, 1] < g._key_weights(keys + targets, mask[targets])
         quiet, j = divmod(int(hit.argmax()), a)
         if not hit[quiet, j]:
             counts.extend([counts[-1]] * block)

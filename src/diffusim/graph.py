@@ -14,8 +14,8 @@ leaves them ascending. A graph whose edges come from an n x n pair mask
 and weigh 1.0, as a regenerated random ensemble's do, can fill its CSR
 from the mask instead, without a sort; both fills end in ``Graph._csr``.
 ``Graph._gather`` turns a batch of vertices into the CSR positions of all
-their rows at once; breadth-first search, clustering and broadcast
-diffusion expand whole frontiers with it instead of slicing one row each.
+their rows at once, with the rows' lengths; breadth-first search,
+clustering and broadcast diffusion expand whole frontiers with it.
 """
 
 from __future__ import annotations
@@ -211,17 +211,17 @@ class Graph:
             self._build_adjacency()
         return self._indptr, self._nbr, self._nbrw
 
-    def _gather(self, rows: np.ndarray) -> np.ndarray:
+    def _gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """CSR positions of the rows of vertices ``rows``, concatenated in
-        the order of ``rows``; index ``_adj()``'s neighbor and weight
-        arrays with them."""
+        the order of ``rows``, and the rows' lengths; index ``_adj()``'s
+        neighbor and weight arrays with the positions."""
         # ndarray methods, not np.* wrappers: a deep BFS gathers once per
         # level, often for a single row, so call overhead is its cost
         indptr = self._adj()[0]
         lens = self._degrees[rows]
         ends = lens.cumsum()
         return np.arange(ends[-1] if ends.size else 0) + \
-            (indptr[rows] - ends + lens).repeat(lens)
+            (indptr[rows] - ends + lens).repeat(lens), lens
 
     # -- queries --------------------------------------------------------------
 
@@ -257,13 +257,13 @@ class Graph:
 
     def weight(self, u: int, v: int) -> float:
         """Weight of edge {u, v}; 0.0 when the pair is not connected."""
-        return self.pair_weights([u], [v]).item()
+        return self.pair_weights(u, v).item()
 
     def pair_weights(self, us, vs) -> np.ndarray:
-        """Vectorized :meth:`weight` for vertex-id arrays that broadcast
-        together; the result has their broadcast shape."""
-        return self._key_weights(
-            _vertex_ids(us, self.n) * self.n + _vertex_ids(vs, self.n), False)
+        """Vectorized :meth:`weight` for vertex ids, scalars or arrays, that
+        broadcast together; the result has their broadcast shape."""
+        keys = _vertex_ids(us, self.n) * self.n + _vertex_ids(vs, self.n)
+        return self._key_weights(keys.ravel(), False).reshape(keys.shape)
 
     def _key_weights(self, keys: np.ndarray,
                      closed: np.ndarray | bool) -> np.ndarray:
@@ -332,11 +332,11 @@ def _bfs_levels(g: Graph, claim: np.ndarray, keys: np.ndarray):
     """
     n = g.n
     nbr = g._adj()[1]
-    deg = g.degrees()
     claim[keys] = 0
     while keys.size:
         v = keys % n
-        nxt = nbr[g._gather(v)] + (keys - v).repeat(deg[v])
+        edge, lens = g._gather(v)
+        nxt = nbr[edge] + (keys - v).repeat(lens)
         nxt = nxt[claim[nxt] < 0]
         # duplicates all write their position; exactly one of them then
         # reads its own back

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from diffusim import (
     ContactModel,
     DiffusionState,
+    EnsembleConfig,
+    GeneratorSpec,
     Graph,
     SimulationConfig,
     gen_complete,
@@ -22,6 +24,7 @@ from diffusim import (
     import_matrix,
     init_state,
     run,
+    run_ensemble,
     step,
 )
 
@@ -586,3 +589,148 @@ def test_random_contact_follows_push_chain(n, reps, seed):
     dist = chain_law(push_kernel(n), 1, 60)
     assert_runs_follow_law(gen_complete(n), "random-contact", 1, dist,
                            reps, seed)
+
+
+# --- exact law on any small weighted graph: the subset chain -----------------
+# For n <= 8 the informed set itself is a Markov chain on the 2^n subsets,
+# whatever the weights, so a read of the wrong edge's weight, which a
+# complete graph with one weight hides, changes the law. States are
+# bitmasks: vertex v informed <=> bit v set. The kernel is built from the
+# edge list alone, not from the CSR that the engine reads.
+
+def subset_kernel(g, model):
+    """(2^n, 2^n) one-loop transition matrix of the informed set."""
+    n = g.n
+    w = np.zeros((n, n))
+    has_edge = np.zeros(n, dtype=bool)
+    for u, v, p in g.edges():
+        w[u, v] = w[v, u] = p
+        has_edge[u] = has_edge[v] = True
+    states = np.arange(1 << n)
+    member = (states[:, None] >> np.arange(n)) & 1 == 1  # (state, vertex)
+    kernel = np.eye(1 << n)
+
+    def add(kernel, t):
+        """``kernel`` with vertex t added to every set it reaches."""
+        moved = kernel.copy()
+        free = states[~member[:, t]]
+        moved[:, free | (1 << t)] += moved[:, free]
+        moved[:, free] = 0.0
+        return moved
+
+    if model == "broadcast":
+        for t in range(n):
+            # t, uninformed, joins with probability 1 - prod_s (1 - w_st)
+            escape = np.prod(np.where(member, 1.0 - w[:, t], 1.0), axis=1)
+            q = np.where(member[:, t], 0.0, 1.0 - escape)[:, None]
+            kernel = kernel * (1.0 - q) + add(kernel, t) * q
+        return kernel
+    # fold the actors one at a time: actor i informs t, uninformed at the
+    # start of the loop, with probability w_it / (n - 1)
+    for i in np.flatnonzero(has_edge):
+        p = np.where(member[:, [i]] & ~member, w[i] / (n - 1), 0.0)
+        kernel = kernel * (1.0 - p.sum(axis=1, keepdims=True)) + \
+            sum(add(kernel, t) * p[:, [t]] for t in range(n))
+    return kernel
+
+
+def chi_square_z(observed, expected):
+    """Wilson-Hilferty z of Pearson's X^2, cells with an expected count
+    below 5 pooled into one; an outcome the law forbids fails at once."""
+    forbidden = expected < 1e-9
+    assert observed[forbidden].sum() == 0, np.flatnonzero(observed * forbidden)
+    small = expected < 5.0
+    obs = np.append(observed[~small], observed[small & ~forbidden].sum())
+    exp = np.append(expected[~small], expected[small & ~forbidden].sum())
+    keep = exp > 0
+    x2 = (((obs - exp) ** 2)[keep] / exp[keep]).sum()
+    df = keep.sum() - 1
+    assert df >= 1, df
+    c = 2.0 / (9 * df)
+    return ((x2 / df) ** (1 / 3) - (1 - c)) / math.sqrt(c)
+
+
+def zeroed(g, seed, isolate, zeros):
+    """g reweighted i.i.d. uniform, the edges of vertex ``isolate`` dropped
+    (None: none) and the weight of ``zeros`` of the rest set to 0.0."""
+    u, v, _ = g.edge_arrays()
+    keep = (u != isolate) & (v != isolate)
+    u, v = u[keep], v[keep]
+    rng = np.random.default_rng(seed)
+    w = 0.1 + 0.9 * rng.random(u.size)
+    w[rng.choice(u.size, size=zeros, replace=False)] = 0.0
+    return Graph(g.n, (u, v, w))
+
+
+# each graph with a vertex of most edges, where the runs start; the
+# stochastic graph's vertex 7 and the random graph's vertex 6 are isolated
+CHAIN_GRAPHS = {
+    "scale-free-tree": (zeroed(gen_scale_free(8, seed=3), 1, None, 1), 1),
+    "stochastic": (zeroed(gen_stochastic(8, seed=4), 2, 7, 2), 0),
+    "random": (zeroed(gen_random(8, 0.45, seed=5), 3, 6, 2), 7),
+}
+
+
+@pytest.fixture(scope="module")
+def chain_kernels():
+    return {(name, model): subset_kernel(g, model)
+            for name, (g, _) in CHAIN_GRAPHS.items()
+            for model in ("broadcast", "random-contact")}
+
+
+def test_subset_kernel_is_stochastic(chain_kernels):
+    for kernel in chain_kernels.values():
+        assert (kernel >= -1e-15).all()
+        assert np.allclose(kernel.sum(axis=1), 1.0)
+    # on a complete graph with one weight the informed count follows the
+    # Reed-Frost and push chains
+    size = np.array([bin(s).count("1") for s in range(1 << 6)])
+    lump = (size[:, None] == np.arange(7)).astype(float)
+    for model, law in [("broadcast", reed_frost_kernel(6, 0.3)),
+                       ("random-contact", push_kernel(6))]:
+        g = Graph(6, [(i, j, 0.3 if model == "broadcast" else 1.0)
+                      for i in range(6) for j in range(i + 1, 6)])
+        assert np.allclose((subset_kernel(g, model) @ lump)[1:],
+                           law[size][1:])
+
+
+@pytest.mark.parametrize("model", ["broadcast", "random-contact"])
+@pytest.mark.parametrize("name", list(CHAIN_GRAPHS))
+def test_run_ensemble_follows_subset_chain(name, model, chain_kernels,
+                                           monkeypatch):
+    (g, source), reps, loops = CHAIN_GRAPHS[name], 1000, 20
+    # fixed-graph mode builds the spec's graph once: make it this one
+    monkeypatch.setattr(GeneratorSpec, "build", lambda spec: g)
+    summary = run_ensemble(EnsembleConfig(
+        SimulationConfig(model, 1, loops, seed=7, initial_vertices=(source,)),
+        GeneratorSpec("stochastic", g.n, seed=0), reps,
+        regenerate_graph=False)).extended(loops)
+    size = np.array([bin(s).count("1") for s in range(1 << g.n)])
+    dist = np.zeros((loops + 1, 1 << g.n))
+    dist[0, 1 << source] = 1.0
+    for t in range(loops):
+        dist[t + 1] = dist[t] @ chain_kernels[name, model]
+    mean = dist @ size
+    var = dist @ size ** 2 - mean ** 2
+    live = np.flatnonzero(var > 0.05)
+    z = (summary.mean - mean)[live] / np.sqrt(var[live] / reps)
+    assert live.size >= 2 and np.abs(z).max() < 4, z
+
+
+@pytest.mark.parametrize("model", ["broadcast", "random-contact"])
+@pytest.mark.parametrize("name", list(CHAIN_GRAPHS))
+def test_step_follows_subset_chain(name, model, chain_kernels):
+    (g, source), reps = CHAIN_GRAPHS[name], 1500
+    kernel = chain_kernels[name, model]
+    seen = np.zeros((2, 1 << g.n))
+    for r in range(reps):
+        rng = np.random.default_rng([11, r])
+        state = DiffusionState(frozenset({source}), 0)
+        for t in range(2):
+            state = step(g, state, model, rng)
+            seen[t, sum(1 << v for v in state.informed)] += 1
+    law = kernel[1 << source]
+    for t in range(2):
+        z = chi_square_z(seen[t], reps * law)
+        assert z < 4, (t + 1, z)
+        law = law @ kernel

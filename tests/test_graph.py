@@ -114,6 +114,16 @@ def test_pair_weights_vectorized():
     with pytest.raises(ValueError, match=r"vertex id 5 outside \[0, 3\)"):
         g.pair_weights(np.array([0]), np.array([5]))
     assert g.pair_weights([1, 2, 0], [2, 1.0, 1]).tolist() == [0.7, 0.7, 0.0]
+    # scalar ids, Python or numpy, give a 0-d result equal to weight()
+    for u, v in [(1, 2), (np.int64(2), np.int64(1)), (0, np.int64(1))]:
+        w = g.pair_weights(u, v)
+        assert w.shape == () and w == g.weight(u, v)
+    assert g.pair_weights(1, 2) == 0.7 and g.pair_weights(0, 2) == 0.0
+    assert Graph(3).pair_weights(1, 2).shape == ()
+    # a scalar against a list broadcasts
+    assert g.pair_weights(1, [0, 2, 1]).tolist() == [0.0, 0.7, 0.0]
+    assert g.pair_weights(np.array([[2], [0]]), np.int64(1)).tolist() == \
+        [[0.7], [0.0]]
 
 
 def _array_triple(order):
