@@ -39,7 +39,11 @@ changes no value that any loop sees. It can leave :func:`run`'s generator,
 which is private to it, past the last uniform a loop used. Since the
 acting set cannot change until someone new is informed, a block of loops
 is evaluated at once; only the first informing loop is applied, and the
-uniforms of the loops after it stay buffered for the next block.
+uniforms of the loops after it stay buffered for the next block. Beyond
+a one-loop budget, a graph of n * n <= 2 * BLOCK_UNIFORMS (n <= 128) gives
+each contact the weight in an n x n table that is 0.0 in the columns of
+informed vertices; otherwise a block searches its sorted pair keys. Both
+read equal float64 weights, 0.0 for an informed target: no value changes.
 Broadcast gathers only the CSR rows of its acting set, the informed
 vertices that may still have an uninformed neighbour. A vertex leaves it
 once none of its edges is open; the informed set only grows, so none opens
@@ -62,9 +66,10 @@ from .generators import _seed, make_rng
 from .graph import Graph, _count, _vertex_ids
 
 # Most uniforms one random-contact block evaluates: the buffer stays at
-# 64 kB and each per-contact temporary at 32 kB. With twice the cap, the
-# largest blocks lift the heap top past malloc's trim threshold, so they
-# hand pages back to the kernel and fault them in again: thousands of
+# 64 kB and each per-contact temporary at 32 kB; it also bounds the weight
+# table to n * n <= 2 * BLOCK_UNIFORMS cells, 128 kB. With twice the cap,
+# the largest blocks lift the heap top past malloc's trim threshold, so
+# they hand pages back to the kernel and fault them in again: thousands of
 # minor faults per benchmark pass, a count that varies between processes.
 BLOCK_UNIFORMS = 1 << 13
 
@@ -136,15 +141,20 @@ def _mask(n: int, ids) -> np.ndarray:
     return mask
 
 
-def _initial_mask(g: Graph, cfg: SimulationConfig,
-                  rng: np.random.Generator | None) -> np.ndarray:
-    if cfg.initial_informed > g.n:
+def _check_initial(cfg: SimulationConfig, n: int) -> None:
+    """Raise ValueError unless cfg's initial set fits on n vertices."""
+    if cfg.initial_informed > n:
         raise ValueError(
-            f"initial_informed must be <= n = {g.n}, got {cfg.initial_informed}")
+            f"initial_informed must be <= n = {n}, got {cfg.initial_informed}")
+    if cfg.initial_vertices is not None:
+        _vertex_ids(cfg.initial_vertices, n)
+
+
+def _initial_mask(g: Graph, cfg: SimulationConfig,
+                  rng: np.random.Generator) -> np.ndarray:
+    _check_initial(cfg, g.n)
     if cfg.initial_vertices is not None:
         return _mask(g.n, cfg.initial_vertices)
-    if rng is None:
-        rng = make_rng(cfg.seed)
     return _mask(g.n, rng.choice(g.n, size=cfg.initial_informed,
                                  replace=False))
 
@@ -157,7 +167,7 @@ def init_state(g: Graph, cfg: SimulationConfig,
     :func:`run` passes its own stream so that the initial draw and the
     subsequent per-loop draws share one seed.
     """
-    mask = _initial_mask(g, cfg, rng)
+    mask = _initial_mask(g, cfg, make_rng(cfg.seed) if rng is None else rng)
     return DiffusionState(frozenset(np.flatnonzero(mask).tolist()), 0)
 
 
@@ -254,6 +264,8 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                            rng: np.random.Generator) -> None:
     n = g.n
     has_edge = g.degrees() > 0
+    table = g._weight_table(mask) if max_loops > len(counts) and \
+        n * n <= 2 * BLOCK_UNIFORMS else None
     # a block uses at most BLOCK_UNIFORMS uniforms, or one loop's 2a <= 2n
     buf = np.empty(max(BLOCK_UNIFORMS, 2 * n))
     pos = end = 0  # buf[pos:end] drawn, not yet consumed
@@ -279,13 +291,12 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                                 2 * a * left))
             rng.random(out=buf[rest:end])
             pos = 0
-        # the block's uniforms as (loops, 2, actors), each loop's pick row
-        # then coin row; a contact informs when its coin falls below the
-        # weight of edge {actor, target} and the target is uninformed
+        # the block's uniforms as (loops, 2, actors): pick row, coin row
         u = buf[pos:pos + need].reshape(block, 2, a)
         targets = (u[:, 0] * (n - 1)).astype(np.int64)
         targets += targets >= act
-        hit = u[:, 1] < g._key_weights(keys + targets, mask[targets])
+        hit = u[:, 1] < (table.take(keys + targets) if table is not None
+                         else g._key_weights(keys + targets, mask[targets]))
         quiet, j = divmod(int(hit.argmax()), a)
         if not hit[quiet, j]:
             counts.extend([counts[-1]] * block)
@@ -294,7 +305,10 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
             continue
         # apply the first informing loop only; later loops saw a stale set
         counts.extend([counts[-1]] * quiet)
-        mask[targets[quiet][hit[quiet]]] = True
+        informed = targets[quiet][hit[quiet]]
+        mask[informed] = True
+        if table is not None:
+            table[:, informed] = 0.0
         counts.append(int(np.count_nonzero(mask)))
         if counts[-1] == n:
             return

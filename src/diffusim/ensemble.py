@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diffusion import SimulationConfig, _first_loops, run
+from .diffusion import SimulationConfig, _check_initial, _first_loops, run
 from .generators import GeneratorSpec, _seed
 from .graph import _count
 
@@ -72,6 +72,8 @@ class EnsembleConfig:
     def __post_init__(self):
         object.__setattr__(self, "replications",
                            _count(self.replications, "replications", 1))
+        if isinstance(self.generator, GeneratorSpec):
+            _check_initial(self.base, self.generator.n)
 
 
 def _nearest_rank(sorted_values: np.ndarray, pct: float) -> np.ndarray:

@@ -281,6 +281,15 @@ class Graph:
         w[(pk[pos] != keys) | closed] = 0.0
         return w
 
+    def _weight_table(self, closed: np.ndarray) -> np.ndarray:
+        """A fresh writable n x n array; flat index u * n + v holds what
+        ``_key_weights`` returns for that key, closed where ``closed[v]``."""
+        nbrw = self._adj()[2]
+        table = np.zeros((self.n, self.n))
+        table.put(self._pair_keys, nbrw)
+        table[:, closed] = 0.0
+        return table
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

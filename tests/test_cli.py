@@ -85,20 +85,36 @@ def test_simulate_six_initial_batch(tmp_path, capsys):
         assert (tmp_path / f"grid_k{k}.trajectory.csv").exists()
 
 
+RANDOM_10 = ["--family", "random", "--n", "10"]
+
+
+# a count or vertex beyond a family's n is refused with the flags (exit 2);
+# a graph file's n is known only once the file is read (exit 1)
 @pytest.mark.parametrize("args,code,msg", [
-    (["--initial", "1,20"], 1, "initial_informed must be <= n = 10, got 20"),
-    (["--initial", "1,0"], 2, "initial_informed must be >= 1, got 0"),
-    (["--initial", "1,20", "--replications", "3"], 1,
+    (RANDOM_10 + ["--initial", "1,20"], 2,
      "initial_informed must be <= n = 10, got 20"),
-], ids=["over-n", "zero", "ensemble-over-n"])
+    (RANDOM_10 + ["--initial", "1,0"], 2,
+     "initial_informed must be >= 1, got 0"),
+    (RANDOM_10 + ["--initial", "1,20", "--replications", "3"], 2,
+     "initial_informed must be <= n = 10, got 20"),
+    (RANDOM_10 + ["--initial-vertices", "3,12"], 2,
+     "vertex id 12 outside [0, 10)"),
+    (["--graph", "{graph}", "--initial", "1,20"], 1,
+     "initial_informed must be <= n = 10, got 20"),
+], ids=["over-n", "zero", "ensemble-over-n", "vertices-over-n",
+        "graph-over-n"])
 def test_simulate_failing_batch_writes_nothing(tmp_path, capsys, args, code,
                                                msg):
     # k=1 runs fine; the later count's refusal must not leave k=1's files
     # or the header behind
+    graph = tmp_path / "path10.graph.json"
+    graph.write_text(json.dumps(
+        {"n": 10, "edges": [[v, v + 1, 1.0] for v in range(9)]}),
+        encoding="utf-8")
     outdir = tmp_path / "out"
     try:
-        got = run_cli(["simulate", "--family", "random", "--n", "10",
-                       "--max-loops", "5", *args, "--outdir", str(outdir)])
+        got = run_cli(["simulate", *(a.format(graph=graph) for a in args),
+                       "--max-loops", "5", "--outdir", str(outdir)])
     except SystemExit as exc:
         got = exc.code
     assert got == code

@@ -27,6 +27,7 @@ from diffusim import (
     run_ensemble,
     step,
 )
+from diffusim.diffusion import _SPREAD
 
 
 # --- independent reference implementation ------------------------------------
@@ -424,6 +425,34 @@ def test_repeated_step_reproduces_run(model, block_uniforms, monkeypatch):
             assert step_counts(g, cfg) == run(g, cfg).counts, (g, seed)
 
 
+def test_random_contact_weight_lookup_by_size_and_budget(monkeypatch):
+    # beyond one loop, up to n * n = 2 * BLOCK_UNIFORMS (n = 128), a run
+    # reads its weights from a table and searches no pair key; above that,
+    # and for step's one-loop budget, it searches
+    searched = []
+    key_weights = Graph._key_weights
+
+    def counted(self, keys, closed):
+        searched.append(keys.size)
+        return key_weights(self, keys, closed)
+
+    monkeypatch.setattr(Graph, "_key_weights", counted)
+    for n, table in [(128, True), (129, False)]:
+        # an isolated vertex 5 and zero-weight edges
+        g = zeroed(gen_random(n, 0.3, seed=n), n, 5, 40)
+        for seed in range(3):
+            searched.clear()
+            cfg = SimulationConfig("random-contact", 2, 50, seed=seed)
+            assert run(g, cfg).counts == \
+                ref_run(g, "random-contact", 2, 50, seed), (n, seed)
+            assert bool(searched) != table, (n, seed)
+    g = gen_stochastic(100, seed=1)
+    searched.clear()
+    step(g, DiffusionState(frozenset({0, 1}), 0), "random-contact",
+         np.random.default_rng(0))
+    assert searched
+
+
 def reweighted(g, seed):
     """g's edges with i.i.d. uniform weights."""
     u, v, _ = g.edge_arrays()
@@ -694,10 +723,21 @@ def test_subset_kernel_is_stochastic(chain_kernels):
                            law[size][1:])
 
 
-@pytest.mark.parametrize("model", ["broadcast", "random-contact"])
+# random-contact runs at n = 8 read weights from the n x n table at the
+# default cap (None, plain id) and by pair-key search at cap 7, where the
+# table's 64 cells exceed twice the cap; broadcast reads no table
+CHAIN_CAPS = [
+    pytest.param(model, cap, id=model + (f"-cap{cap}" if cap else ""))
+    for model, cap in [("broadcast", None), ("random-contact", None),
+                       ("random-contact", 7)]]
+
+
+@pytest.mark.parametrize("model,cap", CHAIN_CAPS)
 @pytest.mark.parametrize("name", list(CHAIN_GRAPHS))
-def test_run_ensemble_follows_subset_chain(name, model, chain_kernels,
+def test_run_ensemble_follows_subset_chain(name, model, cap, chain_kernels,
                                            monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr("diffusim.diffusion.BLOCK_UNIFORMS", cap)
     (g, source), reps, loops = CHAIN_GRAPHS[name], 1000, 20
     # fixed-graph mode builds the spec's graph once: make it this one
     monkeypatch.setattr(GeneratorSpec, "build", lambda spec: g)
@@ -717,20 +757,30 @@ def test_run_ensemble_follows_subset_chain(name, model, chain_kernels,
     assert live.size >= 2 and np.abs(z).max() < 4, z
 
 
-@pytest.mark.parametrize("model", ["broadcast", "random-contact"])
+@pytest.mark.parametrize("model,cap", CHAIN_CAPS)
 @pytest.mark.parametrize("name", list(CHAIN_GRAPHS))
-def test_step_follows_subset_chain(name, model, chain_kernels):
+def test_step_follows_subset_chain(name, model, cap, chain_kernels,
+                                   monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr("diffusim.diffusion.BLOCK_UNIFORMS", cap)
     (g, source), reps = CHAIN_GRAPHS[name], 1500
     kernel = chain_kernels[name, model]
-    seen = np.zeros((2, 1 << g.n))
+    # the sets after one and two step loops, then after a two-loop budget
+    # of run's engine on a stream of its own: step, a one-loop budget,
+    # always searches, while the two-loop budget reads what the cap selects
+    seen = np.zeros((3, 1 << g.n))
+    start = DiffusionState(frozenset({source}), 0)
     for r in range(reps):
         rng = np.random.default_rng([11, r])
-        state = DiffusionState(frozenset({source}), 0)
+        state = start
         for t in range(2):
             state = step(g, state, model, rng)
             seen[t, sum(1 << v for v in state.informed)] += 1
-    law = kernel[1 << source]
-    for t in range(2):
+        mask = start.mask(g.n)
+        _SPREAD[ContactModel(model)](g, mask, [1], 2,
+                                     np.random.default_rng([12, r]))
+        seen[2, sum(1 << v for v in np.flatnonzero(mask).tolist())] += 1
+    one = kernel[1 << source]
+    for t, law in enumerate((one, one @ kernel, one @ kernel)):
         z = chi_square_z(seen[t], reps * law)
-        assert z < 4, (t + 1, z)
-        law = law @ kernel
+        assert z < 4, (t, z)
