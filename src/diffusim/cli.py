@@ -355,7 +355,13 @@ def cmd_reproduce(parser, args) -> int:
             parser.error("--seed is required in reproduce mode")
         figure, seed = args.figure, args.seed
     # derived run seeds (seed + k) must not turn a negative seed valid
-    _run_reproduce(args, figure, _seed(seed, "seed"))
+    try:
+        seed = _seed(seed, "seed")
+    except ValueError as exc:
+        if args.from_manifest:
+            raise
+        parser.error(str(exc))
+    _run_reproduce(args, figure, seed)
     return 0
 
 

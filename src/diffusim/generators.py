@@ -13,9 +13,9 @@ Stream consumption is part of the contract:
 
 * ``gen_random`` / ``gen_stochastic`` draw one uniform per unordered vertex
   pair in lexicographic order (0,1), (0,2), ..., (0,n-1), (1,2), ...: the
-  row-major cells of an n x n pair mask's strict upper triangle. The edges
-  are read from that mask, and so is the CSR of each graph of a
-  regenerated random ensemble, since every one of them is run.
+  row-major cells of an n x n pair mask's strict upper triangle, and the
+  edges are read from that mask. A regenerated stochastic ensemble
+  reweights one complete graph, whose CSR it builds once.
 * ``gen_scale_free`` attaches vertex 1 to vertex 0 without randomness, then
   for each vertex t = 2..n-1 draws one integer index into the
   degree-weighted attachment pool. All indices come from one
@@ -28,7 +28,7 @@ Stream consumption is part of the contract:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,17 +105,15 @@ class GeneratorSpec:
 
     def build(self) -> Graph:
         """The graph of this family, size and seed."""
-        if self.family == "scale-free":
-            return _grow_scale_free(self.n, self.seed)
-        return self._dense(self.seed)[0]
+        return self._graph(self.seed)
 
-    def _dense(self, seed) -> tuple[Graph, np.ndarray]:
-        """This complete, random or stochastic spec's graph at ``seed``, and
-        its pair mask: the n x n boolean matrix true at (u, v), u < v, for
-        each edge {u, v}."""
+    def _graph(self, seed) -> Graph:
+        """This spec's graph at ``seed``."""
+        n = self.n
+        if self.family == "scale-free":
+            return _grow_scale_free(n, seed)
         # one draw per cell of the strict upper triangle, in row-major
         # order: the documented lexicographic pair order
-        n = self.n
         upper = ~np.tri(n, dtype=bool)
         w = None
         if self.family == "random":
@@ -127,23 +125,25 @@ class GeneratorSpec:
         cells = np.flatnonzero(upper)
         u = cells // n
         return Graph(n, (u, cells - u * n, np.ones(cells.size)
-                         if w is None else w)), upper
+                         if w is None else w))
 
     def _builder(self, regenerate: bool):
         """``seed -> graph`` for an ensemble: one ``build()`` for every seed
-        when not ``regenerate`` or seedless, else this spec at ``seed``.
-        Random graphs then come with their CSR, filled from the pair mask,
-        and share nothing; stochastic graphs reweight one complete graph,
-        sorted once, and share its arrays while the builder lives."""
+        when not ``regenerate`` or seedless, else this spec's graph at
+        ``seed``. Stochastic graphs then reweight one complete graph, whose
+        CSR is built once, and share its arrays while the builder lives."""
         if not regenerate or self.seed is None:
             graph = self.build()
             return lambda _seed: graph
-        if self.family == "scale-free":
-            return lambda seed: replace(self, seed=seed).build()
-        if self.family == "random":
-            return lambda seed: Graph._with_mask_adjacency(*self._dense(seed))
-        pattern = GeneratorSpec("complete", self.n).build()
-        slot_pair = pattern._build_adjacency() % max(pattern.edge_count, 1)
+        if self.family != "stochastic":
+            return self._graph
+        n = self.n
+        pattern = GeneratorSpec("complete", n).build()
+        # slot i holds {u, v}: lexicographic edge lo(2n-lo-1)/2 + hi - lo - 1
+        v = pattern._adj()[1]
+        u = np.arange(n).repeat(pattern.degrees())
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        slot_pair = lo * (2 * n - lo - 1) // 2 + hi - lo - 1
         # build's stochastic draw, on the same pairs in the same order
         return lambda seed: pattern._reweighted(
             slot_pair, make_rng(seed).random(pattern.edge_count))

@@ -8,11 +8,11 @@ between concurrent simulation runs.
 Storage is edge-array based with a lazily built CSR adjacency, so
 construction from bulk numpy arrays is cheap and neighbor iteration is
 O(degree). A graph holds only arrays of its own, read-only, each stored
-by ``Graph._hold``. The CSR build is one stable sort on the row: edges
-are kept in canonical order, so listing each row's lower neighbours first
-leaves them ascending. A graph whose edges come from an n x n pair mask
-and weigh 1.0, as a regenerated random ensemble's do, can fill its CSR
-from the mask instead, without a sort; both fills end in ``Graph._csr``.
+by ``Graph._hold``. ``Graph._build_adjacency`` picks the CSR fill from the
+graph's own edges: a dense graph of unit weights sets them in an n x n
+bool mask, whose true cells are its pair keys in order, with no sort;
+any other takes one stable sort on the row, which leaves each row
+ascending, since edges are kept in canonical order.
 ``Graph._gather`` turns a batch of vertices into the CSR positions of all
 their rows at once, with the rows' lengths; breadth-first search,
 clustering and broadcast diffusion expand whole frontiers with it.
@@ -172,29 +172,23 @@ class Graph:
             setattr(self, name, array)
         return self
 
-    def _csr(self, keys: np.ndarray, nbrw: np.ndarray) -> "Graph":
-        """This graph holding the CSR whose slot i is the pair with key
-        ``keys[i]`` = u * n + v, weighted ``nbrw[i]``; keys ascend."""
-        n = self.n
+    def _build_adjacency(self) -> None:
+        n, eu, ev, ew = self.n, self._eu, self._ev, self._ew
+        # the mask's n * n bytes are at most the 16 of key and neighbour per
+        # CSR slot; key u * n + v is the flat index of cell (u, v)
+        if n * n <= 32 * eu.size and (ew == 1.0).all():
+            mask = np.zeros((n, n), dtype=bool)
+            mask.ravel()[eu * n + ev] = True
+            keys = np.flatnonzero(mask | mask.T)
+            nbrw = np.ones(keys.size)
+        else:
+            du = np.concatenate([ev, eu])
+            order = np.argsort(du, kind="stable")
+            keys = (du * n + np.concatenate([eu, ev]))[order]
+            nbrw = np.concatenate([ew, ew])[order]
         indptr = keys.searchsorted(np.arange(n + 1) * n)
-        return self._hold(_indptr=indptr, _nbr=keys - keys // n * n,
-                          _nbrw=nbrw, _pair_keys=keys,
-                          _degrees=np.diff(indptr))
-
-    def _build_adjacency(self) -> np.ndarray:
-        du = np.concatenate([self._ev, self._eu])
-        keys = du * self.n + np.concatenate([self._eu, self._ev])
-        order = np.argsort(du, kind="stable")
-        self._csr(keys[order], np.concatenate([self._ew, self._ew])[order])
-        return order  # CSR slot i holds edge order[i] mod edge_count
-
-    def _with_mask_adjacency(self, upper: np.ndarray) -> "Graph":
-        """This graph, its CSR filled from ``upper``, the n x n boolean
-        matrix true at (u, v), u < v, for each edge {u, v}; every edge must
-        weigh 1.0. Pair key u * n + v is the flat index of cell (u, v), so
-        the true cells of ``upper | upper.T`` are the CSR's keys in order."""
-        keys = np.flatnonzero(upper | upper.T)
-        return self._csr(keys, np.ones(keys.size))
+        self._hold(_indptr=indptr, _nbr=keys - keys // n * n, _nbrw=nbrw,
+                   _pair_keys=keys, _degrees=np.diff(indptr))
 
     def _reweighted(self, slot_pair: np.ndarray, weights) -> "Graph":
         """This graph with edge i weighted ``weights[i]``, built unchecked;
@@ -286,7 +280,7 @@ class Graph:
         ``_key_weights`` returns for that key, closed where ``closed[v]``."""
         nbrw = self._adj()[2]
         table = np.zeros((self.n, self.n))
-        table.put(self._pair_keys, nbrw)
+        table.ravel()[self._pair_keys] = nbrw
         table[:, closed] = 0.0
         return table
 

@@ -22,7 +22,7 @@ import json
 
 import numpy as np
 
-from .graph import Graph, _edge_columns, _vertex_ids
+from .graph import Graph
 
 __all__ = [
     "MatrixFormatError",
@@ -160,9 +160,7 @@ def graph_from_json(text: str) -> Graph:
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON graph dump: {exc}") from exc
     try:
-        u, v, w = _edge_columns(payload["edges"])
-        edges = (_vertex_ids(u), _vertex_ids(v), np.array(w))
-        return Graph(payload["n"], edges)
+        return Graph(payload["n"], payload["edges"])
     except (KeyError, TypeError) as exc:
         raise MatrixFormatError(
             "JSON graph dump must have integer 'n' and 'edges' as "

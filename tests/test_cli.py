@@ -384,6 +384,8 @@ def test_reproduce_unknown_figure_exit_2(tmp_path):
     {"figure": "power-law", "seed": "3"},
     {"figure": "nonsense", "seed": 3},
     [1, 2],
+    # --seed -1 is a usage error; the same seed read from a file is not
+    {"figure": "power-law", "seed": -1},
 ])
 def test_reproduce_bad_manifest_exit_1(tmp_path, capsys, manifest):
     path = tmp_path / "manifest.json"
@@ -394,9 +396,9 @@ def test_reproduce_bad_manifest_exit_1(tmp_path, capsys, manifest):
 
 
 @pytest.mark.parametrize("args,code", [
-    (["reproduce", "--figure", "random-network", "--seed", "-1"], 1),
-    (["reproduce", "--figure", "power-law", "--seed", "-1"], 1),
-    (["reproduce", "--figure", "scale-free-network", "--seed", "-3"], 1),
+    (["reproduce", "--figure", "random-network", "--seed", "-1"], 2),
+    (["reproduce", "--figure", "power-law", "--seed", "-1"], 2),
+    (["reproduce", "--figure", "scale-free-network", "--seed", "-3"], 2),
     (["generate", "--family", "random", "--n", "5", "--seed", "-1"], 2),
     (["simulate", "--family", "random", "--n", "5", "--graph-seed", "-1"],
      2),

@@ -202,13 +202,15 @@ def test_summary_json_dict():
 
 
 # --- regenerated dense graphs: stochastic ones reweight one complete graph,
-# random ones take their CSR from the pair mask ------------------------------
+# random ones are built as build() builds them ------------------------------
 
 DENSE_N = (1, 2, 3, 17, 100)
 DENSE_SPECS = [GeneratorSpec("stochastic", n, None, 5) for n in DENSE_N]
-# at edge_prob 0.01 most rows are empty
+# at edge_prob 0.01 most rows are empty; n = 300 at 0.003 fills its CSR by
+# the sort, not from the pair mask
 DENSE_SPECS += [GeneratorSpec("random", n, p, 5)
                 for n in DENSE_N for p in (0, 0.01, 0.5, 1)]
+DENSE_SPECS += [GeneratorSpec("random", 300, 0.003, 5)]
 
 
 @pytest.mark.parametrize(
@@ -221,7 +223,8 @@ def test_pattern_built_graphs_equal_public_builds(spec):
         g, ref = build(seed), replace(spec, seed=seed).build()
         assert g == ref
         g._adj(), ref._adj()
-        # against _build_adjacency's sorted CSR, by value and dtype
+        # against the public build's CSR, by value and dtype: a stochastic
+        # pattern on n >= 2 is filled from the pair mask, its build by sort
         for name in Graph.__slots__[1:]:
             got, want = getattr(g, name), getattr(ref, name)
             assert got.dtype == want.dtype, name

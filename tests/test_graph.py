@@ -326,6 +326,50 @@ def test_adjacency_matches_lexsort_reference(g):
         assert got.tolist() == want.tolist()
 
 
+def _complete_weighted(n, *weights):
+    """The complete graph on n, its first edges weighted ``weights``."""
+    u, v, w = gen_complete(n).edge_arrays()
+    w = w.copy()
+    w[:len(weights)] = weights
+    return Graph(n, (u, v, w))
+
+
+# name: (graph, whether its CSR is filled from the pair mask: all weights
+# 1.0 and n * n <= 32 * edge_count)
+CSR_FILLS = {
+    "random-p0.5": (lambda: gen_random(100, 0.5, 3), True),
+    "random-p0.05": (lambda: gen_random(100, 0.05, 3), False),
+    "scale-free": (lambda: GeneratorSpec("scale-free", 100, None, 3).build(),
+                   False),
+    "complete-n1": (lambda: gen_complete(1), False),
+    "complete-n2": (lambda: gen_complete(2), True),
+    "empty": (lambda: Graph(0), True),
+    "dense-weighted": (lambda: _complete_weighted(20, 0.0, 0.5), False),
+    # vertices 0, 1, 22 and 23 have no edge
+    "isolated": (lambda: Graph(24, [(u, v, 1.0) for u in range(2, 22)
+                                    for v in range(u + 1, 22)]), True),
+}
+
+
+@pytest.mark.parametrize("make, mask", CSR_FILLS.values(),
+                         ids=CSR_FILLS.keys())
+def test_csr_fill_choice_matches_lexsort_reference(make, mask, monkeypatch):
+    g = make()
+    sorts = []
+    argsort = np.argsort
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort",
+                  lambda *a, **k: sorts.append(1) or argsort(*a, **k))
+        g._adj()
+    assert not sorts if mask else sorts
+    indptr, nbr, nbrw, keys = ref_csr(g)
+    for got, want in zip(
+            (g._indptr, g._nbr, g._nbrw, g._pair_keys, g._degrees),
+            (indptr, nbr, nbrw, keys, np.diff(indptr))):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
 def test_construction_rejects_nan_weight():
     with pytest.raises(ValueError, match="weights"):
         Graph(3, [(0, 1, float("nan"))])
