@@ -110,56 +110,49 @@ def cmd_generate(parser, args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-def _not_boolean(value: str) -> bool:
-    try:
-        return not configparser.ConfigParser.BOOLEAN_STATES[value.lower()]
-    except KeyError:
-        raise ValueError(f"expected a boolean, got {value!r}") from None
-
-
-def _one_of(choices):
-    def check(value: str) -> str:
-        if value not in choices:
-            raise ValueError(
-                f"expected one of {', '.join(choices)}, got {value!r}")
-        return value
-    return check
-
-
-# (section, key) -> (simulate dest, converter)
+# (section, key) -> dest of the simulate flag it sets
 _CONFIG_KEYS = {
-    ("generator", "family"): ("family", _one_of(FAMILIES)),
-    ("generator", "n"): ("n", int),
-    ("generator", "edge_prob"): ("edge_prob", float),
-    ("generator", "seed"): ("graph_seed", int),
-    ("simulation", "model"): ("model", _one_of(MODELS)),
-    ("simulation", "initial"): ("initial", _int_list),
-    ("simulation", "max_loops"): ("max_loops", int),
-    ("simulation", "seed"): ("seed", int),
-    ("ensemble", "replications"): ("replications", int),
-    ("ensemble", "regenerate_graph"): ("fixed_graph", _not_boolean),
-    ("output", "outdir"): ("outdir", str),
-    ("output", "prefix"): ("prefix", str),
+    ("generator", "family"): "family",
+    ("generator", "n"): "n",
+    ("generator", "edge_prob"): "edge_prob",
+    ("generator", "seed"): "graph_seed",
+    ("simulation", "model"): "model",
+    ("simulation", "initial"): "initial",
+    ("simulation", "max_loops"): "max_loops",
+    ("simulation", "seed"): "seed",
+    ("ensemble", "replications"): "replications",
+    ("ensemble", "regenerate_graph"): "fixed_graph",
+    ("output", "outdir"): "outdir",
+    ("output", "prefix"): "prefix",
 }
 
 
-def _config_defaults(path: str) -> dict:
-    """``simulate`` option values from an INI config file, by dest."""
+def _config_defaults(path: str, parser) -> dict:
+    """``simulate`` option values from an INI config file, by dest, each
+    read by its own flag's ``type`` and ``choices``."""
     cp = configparser.ConfigParser()
     try:
         if not cp.read(path):
             raise OSError(f"config file not found: {path}")
     except configparser.Error as exc:
         raise ValueError(f"malformed config file: {exc}") from exc
+    # argparse has no public accessor for a parser's actions or converters
+    actions = {a.dest: a for a in parser._actions}
     values = {}
-    for (section, key), (dest, conv) in _CONFIG_KEYS.items():
-        if cp.has_option(section, key):
-            try:
-                values[dest] = conv(cp.get(section, key))
-            except (ValueError, argparse.ArgumentTypeError,
-                    configparser.Error) as exc:
-                # every converter's message names the offending value
-                raise ValueError(f"config [{section}] {key}: {exc}") from exc
+    for (section, key), dest in _CONFIG_KEYS.items():
+        if not cp.has_option(section, key):
+            continue
+        try:
+            if dest == "fixed_graph":  # regenerate_graph, negated
+                values[dest] = not cp.getboolean(section, key)
+            else:
+                value = parser._get_value(actions[dest], cp.get(section, key))
+                parser._check_value(actions[dest], value)
+                values[dest] = value
+        except (ValueError, argparse.ArgumentError,
+                configparser.Error) as exc:
+            # every message names the offending value
+            raise ValueError(f"config [{section}] {key}: {exc}") from exc
     return values
 
 
@@ -346,7 +339,7 @@ def cmd_reproduce(parser, args) -> int:
         if not isinstance(manifest, dict):
             raise ValueError("manifest must be a JSON object")
         figure, seed = manifest.get("figure"), manifest.get("seed")
-        if figure not in FIGURES:
+        if not isinstance(figure, str) or figure not in FIGURES:
             raise ValueError(f"manifest names unknown figure {figure!r}")
     else:
         if args.figure is None:
@@ -394,7 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--n", type=int)
     p.add_argument("--edge-prob", type=float, default=None)
-    p.add_argument("--graph-seed", type=int, default=0)
+    p.add_argument("--graph-seed", type=int, default=0,
+                   help="seed of a single run's graph or of --fixed-graph; "
+                        "a regenerated ensemble derives its graph seeds "
+                        "from --seed")
     p.add_argument("--model", choices=MODELS, default="random-contact")
     p.add_argument("--initial", type=_int_list, default=[1],
                    help="initial informed count(s), comma separated")
@@ -432,19 +428,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
             # the file's values become simulate's defaults, so argparse
             # still ranks every flag given on the command line above them
-            args.config_parser.set_defaults(**_config_defaults(args.config))
+            args.config_parser.set_defaults(
+                **_config_defaults(args.config, args.config_parser))
             args = parser.parse_args(argv)
         return args.handler(parser, args)
-    except (MatrixFormatError, ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        # one line, though configparser's messages span several
+        print("error:", *str(exc).splitlines(), file=sys.stderr)
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

@@ -105,8 +105,7 @@ class SimulationConfig:
     initial_vertices: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if isinstance(self.model, str):
-            object.__setattr__(self, "model", ContactModel(self.model))
+        object.__setattr__(self, "model", ContactModel(self.model))
         for name in ("initial_informed", "max_loops"):
             value = _count(getattr(self, name), name, 1)
             object.__setattr__(self, name, value)

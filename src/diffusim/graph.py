@@ -293,9 +293,6 @@ class Graph:
                 and bool((self._ev == other._ev).all())
                 and bool((self._ew == other._ew).all()))
 
-    def __hash__(self):
-        raise TypeError("Graph is not hashable")
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count})"
 
@@ -306,8 +303,6 @@ def degree_histogram(g: Graph) -> dict[int, int]:
     Only degrees with a nonzero vertex count appear; counts sum to n and
     sum of k*count(k) equals twice the edge count.
     """
-    if g.n == 0:
-        return {}
     counts = np.bincount(g.degrees())
     return {int(k): int(c) for k, c in enumerate(counts) if c > 0}
 

@@ -117,6 +117,11 @@ def test_clustering_single_vertex():
     assert clustering_coefficient(Graph(1)) == 0.0
 
 
+def test_clustering_needs_a_vertex():
+    with pytest.raises(ValueError, match="at least one vertex"):
+        clustering_coefficient(Graph(0))
+
+
 def test_clustering_invariant_under_relabeling():
     rng = np.random.default_rng(0)
     for seed in range(5):

@@ -1,10 +1,18 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
+import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import diffusim.cli as cli
 from diffusim.cli import main
@@ -182,6 +190,49 @@ def test_simulate_config_file_with_flag_override(tmp_path, capsys):
     capsys.readouterr()
     text = (tmp_path / "override.trajectory.csv").read_text()
     assert text.splitlines()[1] == "0,7"
+
+
+def test_simulate_config_file_sets_every_key_like_flags(tmp_path, monkeypatch,
+                                                      capsys):
+    # every key differs from its flag's default and changes the files, so
+    # a key that reached the wrong dest would change the bytes or the names
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(
+        "[generator]\nfamily = random\nn = 30\nedge_prob = 0.15\nseed = 5\n"
+        "[simulation]\nmodel = broadcast\ninitial = 1,3\nmax_loops = 3\n"
+        "seed = 7\n"
+        "[ensemble]\nreplications = 4\nregenerate_graph = false\n"
+        f"[output]\noutdir = {tmp_path / 'config'}\nprefix = pinned\n",
+        encoding="utf-8")
+    assert run_cli(["simulate", "--config", str(cfg)]) == 0
+    assert run_cli(["simulate", "--family", "random", "--n", "30",
+                    "--edge-prob", "0.15", "--graph-seed", "5",
+                    "--model", "broadcast", "--initial", "1,3",
+                    "--max-loops", "3", "--seed", "7", "--replications", "4",
+                    "--fixed-graph", "--outdir", str(tmp_path / "flags"),
+                    "--prefix", "pinned"]) == 0
+    capsys.readouterr()
+    got = {p.name: p.read_bytes() for p in (tmp_path / "config").iterdir()}
+    want = {p.name: p.read_bytes() for p in (tmp_path / "flags").iterdir()}
+    assert sorted(got) == [f"pinned_k{k}.ensemble.{ext}"
+                           for k in (1, 3) for ext in ("csv", "json")]
+    assert got == want
+
+
+def test_simulate_graph_seed_sets_only_a_fixed_graph(tmp_path, capsys):
+    # a regenerated ensemble derives its graph seeds from --seed
+    def bundle(*flags):
+        outdir = tmp_path / "-".join(flags)
+        assert run_cli(["simulate", "--family", "random", "--n", "30",
+                        "--replications", "5", "--initial", "2",
+                        "--seed", "4", *flags, "--outdir", str(outdir)]) == 0
+        return {p.name: p.read_bytes() for p in outdir.iterdir()}
+
+    assert bundle("--graph-seed", "1") == bundle("--graph-seed", "2")
+    assert (bundle("--graph-seed", "1", "--fixed-graph")
+            != bundle("--graph-seed", "2", "--fixed-graph"))
+    capsys.readouterr()
 
 
 def test_simulate_flag_equal_to_default_overrides_config(tmp_path, capsys):
@@ -395,6 +446,18 @@ def test_reproduce_bad_manifest_exit_1(tmp_path, capsys, manifest):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("figure", [[], {"name": "power-law"}])
+def test_reproduce_manifest_figure_not_a_string_exit_1(tmp_path, capsys,
+                                                       figure):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"figure": figure, "seed": 0}))
+    assert run_cli(["reproduce", "--from-manifest", str(path),
+                    "--outdir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: manifest names unknown figure {figure!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("args,code", [
     (["reproduce", "--figure", "random-network", "--seed", "-1"], 2),
     (["reproduce", "--figure", "power-law", "--seed", "-1"], 2),
@@ -528,6 +591,17 @@ def test_reproduce_bundle_matches_recorded_digests(tmp_path, capsys, request,
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.iterdir()}
     assert got == want
+
+
+def test_main_reads_sys_argv_by_default(tmp_path, monkeypatch, capsys):
+    graph = tmp_path / "path.graph.json"
+    graph.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+                     encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["diffusim", "analyze", "--graph",
+                                      str(graph), "--stat", "clustering"])
+    assert main() == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "n": 3, "clustering_coefficient": 0.0}
 
 
 def test_version_flag(capsys):
@@ -688,3 +762,230 @@ def test_simulate_unsaturated_run_reports_loops(tmp_path, capsys):
                     "--outdir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "initial=1: not saturated within 3 loops (final informed 1)" in out
+
+
+# --- every input surface of cli.main, fuzzed ------------------------------
+# Whatever a user feeds in, main exits 0, 1 or 2; exit 1 ends in an
+# `error:` line with no traceback; and a command that fails writes no file.
+# Each surface mixes well-formed input, so that runs reach the later
+# checks, with junk. Every drawn count stays small: a graph of 10**9
+# vertices may be granted by overcommit and then exhaust memory, where
+# 10**15 is refused at once (test_analyze_huge_n_fails_cleanly).
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True)
+TINY_DESK = dict(n=12, initials=(1, 3), max_loops=20, replications=2,
+                 compare_replications=3, compare_initial=2)
+# files that every fuzzed command may name
+FUZZ_FILES = {
+    "path.graph.json": '{"n": 6, "edges": [[0, 1, 1.0], [1, 2, 0.5]]}',
+    "manifest.json": '{"figure": "power-law", "seed": 1}',
+    "exp.ini": "[generator]\nfamily = complete\nn = 6\n",
+}
+PATHS = [f"{{dir}}/{name}" for name in [*FUZZ_FILES, "missing.json"]]
+# junk text has no digit, so it never spells a large count, and no path
+# separator, so a drawn prefix stays in the output directory
+JUNK = st.text("abcxyz-_ .,:%=", max_size=6)
+SMALL_INTS = st.integers(-3, 40)
+SCALARS = st.one_of(st.none(), st.booleans(), SMALL_INTS,
+                    st.floats(-3, 40),
+                    st.sampled_from([math.nan, math.inf, -math.inf]), JUNK)
+JSON_VALUES = st.recursive(
+    SCALARS, lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(JUNK, kids, max_size=3), max_leaves=12)
+STAT = st.sampled_from(sorted(cli.STATS))
+
+
+def ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+# flag dest or config key -> a well-formed value
+VALID = {
+    "family": st.sampled_from(cli.FAMILIES),
+    "n": ints(1, 40),
+    "edge_prob": st.floats(0, 1).map(repr),
+    "seed": ints(0, 5),
+    "graph_seed": ints(0, 5),
+    "model": st.sampled_from(cli.MODELS),
+    "initial": st.sampled_from(["1", "2", "1,3", "2,"]),
+    "initial_vertices": st.sampled_from(["0", "1,2", "0,5"]),
+    "max_loops": ints(1, 20),
+    "replications": ints(1, 3),
+    "regenerate_graph": st.sampled_from(["true", "false", "yes", "off"]),
+    "outdir": JUNK,
+    "prefix": JUNK,
+    "graph": st.sampled_from(PATHS),
+    "stat": STAT,
+    "figure": st.sampled_from(sorted(cli.FIGURES)),
+    "from_manifest": st.sampled_from(PATHS),
+    "config": st.sampled_from(PATHS),
+}
+# replications and loop budgets multiply the run time, so even a junk
+# value for them stays small
+JUNK_COUNTS = {"replications": ints(-1, 3), "max_loops": ints(-1, 20)}
+
+
+@st.composite
+def mostly(draw, good, junk):
+    """``good`` three draws in four, else ``junk``."""
+    return draw(good if draw(st.integers(0, 3)) < 3 else junk)
+
+
+def values(name):
+    """A value for the flag dest or config key ``name``."""
+    return mostly(VALID[name], JUNK_COUNTS.get(name, SMALL_INTS.map(str))
+                  | st.floats(-1, 2).map(repr) | JUNK
+                  | st.sampled_from([*cli.FAMILIES, *cli.FIGURES, *PATHS]))
+
+
+def fuzz_main(argv, files=()):
+    """Run main in a fresh directory, which ``{dir}`` in argv names, after
+    writing ``files`` there; check the exit contract."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(cli._DESK, TINY_DESK):
+        for name, text in {**FUZZ_FILES, **dict(files)}.items():
+            Path(tmp, name).write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = main([a.replace("{dir}", tmp) for a in argv])
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.splitlines()[-1].startswith("error:")
+            assert "Traceback" not in err
+        if code:
+            assert not Path(tmp, "out").exists()
+
+
+@st.composite
+def graph_dumps(draw):
+    """A dump of at most 40 vertices, clean or with junk cells, or junk."""
+    n = draw(st.integers(0, 40))
+    clean = draw(st.booleans())
+
+    def cell(good):
+        return good if clean else mostly(good, SCALARS)
+
+    vertex = cell(st.integers(0, max(n - 1, 0)))
+    edge = cell(st.tuples(vertex, vertex, cell(st.floats(0, 1))))
+    dump = {"n": draw(cell(st.just(n))),
+            "edges": draw(st.lists(edge, max_size=30))}
+    return draw(mostly(st.just(dump), JSON_VALUES))
+
+
+@FUZZ
+@given(dump=graph_dumps(), stat=STAT)
+def test_fuzz_analyze_graph_dump(dump, stat):
+    fuzz_main(["analyze", "--graph", "{dir}/g.graph.json", "--stat", stat,
+               "--out", "{dir}/out/stat.txt"],
+              {"g.graph.json": json.dumps(dump)})
+
+
+@st.composite
+def matrix_texts(draw):
+    """A square matrix of at most 8 rows, clean or with junk cells, or
+    text over the matrix alphabet."""
+    if draw(st.integers(0, 3)) == 3:
+        return "".join(draw(st.lists(
+            st.sampled_from([*"0123456789.,-e I\n\t", "nan", "inf"]),
+            max_size=120)))
+    k = draw(st.integers(0, 8))
+    cell = st.sampled_from(["0", "1", "0.5", "1e-3"])
+    if not draw(st.booleans()):
+        cell = mostly(cell, st.sampled_from(["nan", "-1", "2", "x", ""]))
+    m = [[draw(cell) for _ in range(k)] for _ in range(k)]
+    if draw(mostly(st.just(True), st.just(False))):
+        for i in range(k):
+            m[i][i] = "0"
+            for j in range(i):
+                m[i][j] = m[j][i]
+    sep = draw(st.sampled_from([" ", ",", "\t"]))
+    return "".join(sep.join(row) + "\n" for row in m)
+
+
+@FUZZ
+@given(text=matrix_texts(), stat=STAT)
+def test_fuzz_analyze_matrix_text(text, stat):
+    fuzz_main(["analyze", "--graph", "{dir}/g.matrix.txt", "--stat", stat,
+               "--out", "{dir}/out/stat.txt"], {"g.matrix.txt": text})
+
+
+MANIFESTS = mostly(
+    st.fixed_dictionaries({"figure": mostly(VALID["figure"], JSON_VALUES),
+                           "seed": mostly(st.integers(-1, 5), SCALARS)}),
+    JSON_VALUES).map(json.dumps) | JUNK
+
+
+@FUZZ
+@given(manifest=MANIFESTS)
+@example(manifest='{"figure": [], "seed": 0}')
+def test_fuzz_reproduce_manifest(manifest):
+    fuzz_main(["reproduce", "--from-manifest", "{dir}/m.json",
+               "--outdir", "{dir}/out"], {"m.json": manifest})
+
+
+@st.composite
+def config_files(draw):
+    keys = draw(st.sets(st.sampled_from(sorted(cli._CONFIG_KEYS))))
+    if draw(st.integers(0, 3)) < 3:
+        keys |= {("generator", "family"), ("generator", "n")}
+    sections = {}
+    for section, key in sorted(keys):
+        sections.setdefault(section, []).append(
+            f"{key} = {draw(values(key))}")
+    # a key before any section, or a section given twice, is malformed
+    head = draw(st.sampled_from(["", "", "", "n = 5\n", "[generator]\n"]))
+    return head + "".join(f"[{name}]\n" + "\n".join(lines) + "\n"
+                          for name, lines in sections.items())
+
+
+@FUZZ
+@given(text=config_files())
+def test_fuzz_simulate_config_file(text):
+    fuzz_main(["simulate", "--config", "{dir}/c.ini", "--outdir", "{dir}/out"],
+              {"c.ini": text})
+
+
+# subcommand -> (flags it takes, well-formed starts); a drawn argv is one
+# start or none, then flags with drawn values, at times an unknown one
+SUBCOMMANDS = {
+    "generate": (["--family", "--n", "--edge-prob", "--seed", "--prefix"],
+                 [["--family", "--n"]]),
+    "simulate": (["--graph", "--family", "--n", "--edge-prob", "--graph-seed",
+                  "--model", "--initial", "--initial-vertices", "--max-loops",
+                  "--seed", "--replications", "--fixed-graph", "--config",
+                  "--prefix"],
+                 [["--family", "--n"], ["--graph"], ["--config"]]),
+    "analyze": (["--graph", "--stat"], [["--graph", "--stat"]]),
+    "reproduce": (["--figure", "--seed", "--from-manifest"],
+                  [["--figure", "--seed"], ["--from-manifest"]]),
+}
+
+
+@st.composite
+def argvs(draw, command):
+    flags, starts = SUBCOMMANDS[command]
+    chosen = [*draw(st.sampled_from([*starts, *starts, []]))]
+    chosen += draw(st.lists(st.sampled_from(flags), max_size=4))
+    if draw(st.integers(0, 7)) == 7:
+        chosen.append("--bogus")
+    argv = [command]
+    for flag in chosen:
+        argv.append(flag)
+        if flag != "--fixed-graph":
+            name = flag[2:].replace("-", "_")
+            argv.append(draw(values(name)) if name in VALID else "x")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+@FUZZ
+@given(data=st.data())
+def test_fuzz_argv(command, data):
+    # analyze writes to --out, every other command to --outdir
+    out = (["--out", "{dir}/out/stat.txt"] if command == "analyze"
+           else ["--outdir", "{dir}/out"])
+    fuzz_main([*data.draw(argvs(command)), *out])

@@ -159,6 +159,18 @@ def test_config_validation():
         SimulationConfig("teleport", 1, 5, seed=1)
 
 
+@pytest.mark.parametrize("model", [3, None])
+def test_config_refuses_a_non_model(model):
+    # refused when built, not with a KeyError when run
+    with pytest.raises(ValueError, match="is not a valid ContactModel"):
+        SimulationConfig(model, 1, 5, 0)
+
+
+def test_config_takes_a_model_member():
+    cfg = SimulationConfig(ContactModel.BROADCAST, 1, 5, 0)
+    assert cfg.model is ContactModel.BROADCAST
+
+
 # --- step ---------------------------------------------------------------------
 
 def test_broadcast_saturates_complete_graph_in_one_step():

@@ -399,6 +399,11 @@ def test_degree_histogram_counts_isolated_vertices():
     assert degree_histogram(g) == {0: 2, 1: 2}
 
 
+def test_degree_histogram_empty_graph():
+    # np.bincount of no degrees is empty, so n = 0 needs no branch of its own
+    assert degree_histogram(Graph(0)) == {}
+
+
 def test_degree_histogram_invariants_random_graphs():
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -474,3 +479,19 @@ def test_graph_equality_and_repr():
     assert a == b
     assert a != c
     assert "Graph(n=3, edges=1)" == repr(a)
+
+
+def test_graph_compares_unequal_to_non_graphs():
+    # __eq__ returns NotImplemented, so Python falls back to identity
+    g = Graph(3, [(0, 1, 0.5)])
+    assert (g == 3) is False
+    assert (g != "x") is True
+
+
+def test_graph_is_unhashable():
+    # defining __eq__ alone makes a class unhashable
+    g = Graph(3, [(0, 1, 0.5)])
+    with pytest.raises(TypeError, match="unhashable type: 'Graph'"):
+        hash(g)
+    with pytest.raises(TypeError):
+        {g}
