@@ -178,8 +178,8 @@ def _simulate_one(g, ecfg, prefix) -> tuple[dict[str, str], str]:
 
 
 def cmd_simulate(parser, args) -> int:
-    if args.graph and args.family:
-        parser.error("give either --graph or --family, not both")
+    if args.graph and {args.family, args.n, args.edge_prob} != {None}:
+        parser.error("give --graph or --family, --n, --edge-prob, not both")
     if not (args.graph or args.family):
         parser.error("one of --graph or --family is required")
     if args.graph and args.replications > 1:
@@ -263,15 +263,17 @@ def cmd_analyze(parser, args) -> int:
 # reproduce
 # ---------------------------------------------------------------------------
 
+def _desk_ensemble(family: str, k: int, seed: int, replications: int):
+    """The desk-scale ensemble of ``family`` graphs with ``k`` informed."""
+    return run_ensemble(EnsembleConfig(
+        SimulationConfig(_DESK["model"], k, _DESK["max_loops"], seed),
+        GeneratorSpec(family, _DESK["n"], None, seed), replications))
+
+
 def _reproduce_trajectories(family: str, seed: int) -> dict[str, str]:
-    d = _DESK
     files = {}
-    for k in d["initials"]:
-        base = SimulationConfig(model=d["model"], initial_informed=k,
-                                max_loops=d["max_loops"], seed=seed + k)
-        spec = GeneratorSpec(family, d["n"], None, seed)
-        summary = run_ensemble(EnsembleConfig(
-            base=base, generator=spec, replications=d["replications"]))
+    for k in _DESK["initials"]:
+        summary = _desk_ensemble(family, k, seed + k, _DESK["replications"])
         name = f"{family.replace('-', '_')}_trajectory_k{k}.csv"
         files[name] = summary.to_csv()
     return files
@@ -289,16 +291,9 @@ def _reproduce_power_law(seed: int) -> dict[str, str]:
 
 
 def _reproduce_random_vs_stochastic(seed: int) -> dict[str, str]:
-    d = _DESK
-    base = SimulationConfig(model=d["model"],
-                            initial_informed=d["compare_initial"],
-                            max_loops=d["max_loops"], seed=seed)
-    summaries = {}
-    for family in ("random", "stochastic"):
-        spec = GeneratorSpec(family, d["n"], None, seed)
-        summaries[family] = run_ensemble(EnsembleConfig(
-            base=base, generator=spec,
-            replications=d["compare_replications"]))
+    summaries = {family: _desk_ensemble(family, _DESK["compare_initial"],
+                                        seed, _DESK["compare_replications"])
+                 for family in ("random", "stochastic")}
     horizon = max(s.horizon for s in summaries.values())
     report = compare_ensembles(summaries["random"].extended(horizon),
                                summaries["stochastic"].extended(horizon))
@@ -318,43 +313,48 @@ FIGURES = {
 }
 
 
-def _run_reproduce(args, figure: str, seed: int) -> None:
+def cmd_reproduce(parser, args) -> int:
+    params = dict(_DESK, initials=list(_DESK["initials"]))
+    if args.from_manifest:
+        if args.figure is not None or args.seed is not None:
+            parser.error("--from-manifest takes no --figure or --seed")
+        manifest = json.loads(Path(args.from_manifest).read_text(
+            encoding="utf-8"))
+        if not isinstance(manifest, dict) or not isinstance(
+                manifest.get("parameters", {}), dict):
+            raise ValueError("manifest and parameters must be JSON objects")
+        figure = manifest.get("figure")
+        if not isinstance(figure, str) or figure not in FIGURES:
+            raise ValueError(f"manifest names unknown figure {figure!r}")
+        seed = _seed(manifest.get("seed"), "seed")
+        recorded = manifest.get("parameters", params)
+        differ = {(k, json.dumps(v)) for k, v in recorded.items()} ^ {
+            (k, json.dumps(v)) for k, v in params.items()}
+        if differ:
+            raise ValueError("manifest parameters differ from this build's: "
+                             + min(differ)[0])
+    else:
+        if args.figure is None:
+            parser.error("--figure is required (or --from-manifest)")
+        if args.seed is None:
+            parser.error("--seed is required in reproduce mode")
+        figure = args.figure
+        # derived run seeds (seed + k) must not turn a negative seed valid
+        try:
+            seed = _seed(args.seed, "seed")
+        except ValueError as exc:
+            parser.error(str(exc))
     files = FIGURES[figure](seed)
     manifest = {
         "figure": figure,
         "seed": seed,
-        "parameters": dict(_DESK, initials=list(_DESK["initials"])),
+        "parameters": params,
         "outputs": list(files),
         "version": __version__,
     }
     files["manifest.json"] = json.dumps(manifest, indent=2,
                                         sort_keys=True) + "\n"
     _write(args, files)
-
-
-def cmd_reproduce(parser, args) -> int:
-    if args.from_manifest:
-        manifest = json.loads(Path(args.from_manifest).read_text(
-            encoding="utf-8"))
-        if not isinstance(manifest, dict):
-            raise ValueError("manifest must be a JSON object")
-        figure, seed = manifest.get("figure"), manifest.get("seed")
-        if not isinstance(figure, str) or figure not in FIGURES:
-            raise ValueError(f"manifest names unknown figure {figure!r}")
-    else:
-        if args.figure is None:
-            parser.error("--figure is required (or --from-manifest)")
-        if args.seed is None:
-            parser.error("--seed is required in reproduce mode")
-        figure, seed = args.figure, args.seed
-    # derived run seeds (seed + k) must not turn a negative seed valid
-    try:
-        seed = _seed(seed, "seed")
-    except ValueError as exc:
-        if args.from_manifest:
-            raise
-        parser.error(str(exc))
-    _run_reproduce(args, figure, seed)
     return 0
 
 
@@ -388,9 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--edge-prob", type=float, default=None)
     p.add_argument("--graph-seed", type=int, default=0,
-                   help="seed of a single run's graph or of --fixed-graph; "
-                        "a regenerated ensemble derives its graph seeds "
-                        "from --seed")
+                   help="seeds only a generated graph: a single run's or "
+                        "--fixed-graph's; a regenerated ensemble derives "
+                        "its graph seeds from --seed")
     p.add_argument("--model", choices=MODELS, default="random-contact")
     p.add_argument("--initial", type=_int_list, default=[1],
                    help="initial informed count(s), comma separated")

@@ -118,12 +118,11 @@ class Graph:
 
         if not (eu.ndim == 1 and eu.shape == ev.shape == ew.shape):
             raise ValueError("edge arrays must be 1-D, of identical length")
-        if eu.size:
-            if (eu == ev).any():
-                bad = int(eu[eu == ev][0])
-                raise ValueError(f"self-loop on vertex {bad} not allowed")
-            if not _is_probability(ew):
-                raise ValueError("edge weights must be numbers in [0, 1]")
+        if (eu == ev).any():
+            bad = int(eu[eu == ev][0])
+            raise ValueError(f"self-loop on vertex {bad} not allowed")
+        if not _is_probability(ew):
+            raise ValueError("edge weights must be numbers in [0, 1]")
 
         # canonical order: u < v, then lexicographic. Input that already
         # strictly increases in that order has no duplicate and skips the

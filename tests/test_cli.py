@@ -561,6 +561,99 @@ def test_reproduce_figures_desk_scale(tmp_path, capsys, small_desk,
         assert "threshold_diff_ci95" in report
 
 
+def reproduce_then_rerun(tmp_path, figure, *flags, manifest=None):
+    """Reproduce ``figure`` at seed 1 into ``tmp_path/a``, then re-run its
+    manifest, edited by ``manifest`` if given, with ``flags`` into
+    ``tmp_path/b``; the exit code of the re-run."""
+    assert main(["reproduce", "--figure", figure, "--seed", "1",
+                 "--outdir", str(tmp_path / "a")]) == 0
+    path = tmp_path / "a" / "manifest.json"
+    if manifest is not None:
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(manifest(json.loads(
+            (tmp_path / "a" / "manifest.json").read_text()))))
+    try:
+        return main(["reproduce", "--from-manifest", str(path), *flags,
+                     "--outdir", str(tmp_path / "b")])
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("flags", [["--seed", "5"],
+                                   ["--figure", "power-law"],
+                                   ["--figure", "random-network",
+                                    "--seed", "1"]])
+def test_reproduce_manifest_refuses_figure_and_seed(tmp_path, capsys, flags):
+    assert reproduce_then_rerun(tmp_path, "power-law", *flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert "error: --from-manifest takes no --figure or --seed" in err
+    assert not (tmp_path / "b").exists()
+
+
+def edited_parameters(**changes):
+    """A manifest edit that sets each of ``changes`` in its parameters, or
+    deletes a key whose change is None."""
+    def edit(manifest):
+        params = manifest["parameters"]
+        for key, value in changes.items():
+            if value is None:
+                del params[key]
+            else:
+                params[key] = value
+        return manifest
+    return edit
+
+
+@pytest.mark.parametrize("edit,key", [
+    (edited_parameters(n=50), "n"),
+    (edited_parameters(initials=[1, 2, 5]), "initials"),
+    (edited_parameters(max_loops=None), "max_loops"),
+    # compared as JSON text: 100.0 is not this build's 100
+    (edited_parameters(n=100.0), "n"),
+    (edited_parameters(extra=0, n=50), "extra"),
+])
+def test_reproduce_manifest_parameters_must_match(tmp_path, capsys, edit,
+                                                  key):
+    assert reproduce_then_rerun(tmp_path, "power-law", manifest=edit) == 1
+    assert capsys.readouterr().err == (
+        f"error: manifest parameters differ from this build's: {key}\n")
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("params", [[1, 2], "n=100", None])
+def test_reproduce_manifest_parameters_not_an_object_exit_1(tmp_path, capsys,
+                                                            params):
+    def edit(manifest):
+        return {**manifest, "parameters": params}
+    assert reproduce_then_rerun(tmp_path, "power-law", manifest=edit) == 1
+    assert capsys.readouterr().err == (
+        "error: manifest and parameters must be JSON objects\n")
+    assert not (tmp_path / "b").exists()
+
+
+def without_parameters(manifest):
+    return {"figure": manifest["figure"], "seed": manifest["seed"]}
+
+
+@pytest.mark.parametrize("figure,edit", [
+    ("random-network", None),
+    ("random-vs-stochastic", None),
+    ("random-network", without_parameters),
+])
+def test_reproduce_manifest_round_trip_at_small_desk(tmp_path, capsys,
+                                                     small_desk, figure, edit):
+    # a manifest re-runs at the desk it records, and one without
+    # parameters at this build's
+    assert reproduce_then_rerun(tmp_path, figure, manifest=edit) == 0
+    capsys.readouterr()
+    first = sorted((tmp_path / "a").iterdir())
+    assert [p.name for p in first] == sorted(
+        p.name for p in (tmp_path / "b").iterdir())
+    for path in first:
+        assert (tmp_path / "b" / path.name).read_bytes() == path.read_bytes()
+
+
 # --- reproduce bundles: golden digests ------------------------------------
 # reproduce_digests.json holds the SHA-256 of every artifact and of
 # manifest.json, recorded before the CLI's figure and statistic tables
@@ -701,6 +794,33 @@ def test_simulate_conflicting_inputs_exit_2(tmp_path, capsys, args, msg):
                  "--outdir", str(tmp_path / "out")])
     assert exc.value.code == 2
     assert msg in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--n", "50"], None),
+    (["--edge-prob", "0.3"], None),
+    (["--n", "50", "--edge-prob", "0.3"], None),
+    ([], "[generator]\nn = 50\n"),
+    ([], "[generator]\nedge_prob = 0.3\n"),
+    ([], "[generator]\nfamily = random\n"),
+], ids=["n", "edge-prob", "both", "config-n", "config-edge-prob",
+        "config-family"])
+def test_simulate_graph_refuses_generator_flags(tmp_path, capsys, flags,
+                                                config):
+    # a loaded graph reads none of them, whether flag or config value
+    graph = tmp_path / "path.graph.json"
+    graph.write_text('{"n": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]]}',
+                     encoding="utf-8")
+    argv = ["simulate", "--graph", str(graph), *flags,
+            "--outdir", str(tmp_path / "out")]
+    if config is not None:
+        (tmp_path / "c.ini").write_text(config, encoding="utf-8")
+        argv += ["--config", str(tmp_path / "c.ini")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 2
+    assert "not both" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

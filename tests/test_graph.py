@@ -375,6 +375,27 @@ def test_construction_rejects_nan_weight():
         Graph(3, [(0, 1, float("nan"))])
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Graph(3, []),
+    lambda: Graph(0, []),
+    lambda: Graph(3, (np.array([], np.int64), np.array([], np.int64),
+                      np.array([], np.float64))),
+    lambda: graph_from_json('{"n": 3, "edges": []}'),
+])
+def test_construction_takes_no_edges(make):
+    g = make()
+    assert g.edge_count == 0
+    assert g.degrees().tolist() == [0] * g.n
+
+
+@pytest.mark.parametrize("dtype", [bool, str, object])
+def test_construction_rejects_empty_non_numeric_weights(dtype):
+    # the weight rule holds for no edges as for one
+    empty = np.array([], int)
+    with pytest.raises(ValueError, match="weights"):
+        Graph(3, (empty, empty, np.array([], dtype)))
+
+
 def test_symmetry_and_bounds_hold_for_generated_graphs():
     for seed in range(5):
         g = random_weighted_graph(12, 0.4, seed)
