@@ -345,6 +345,8 @@ def cmd_reproduce(parser, args) -> int:
         except ValueError as exc:
             parser.error(str(exc))
     files = FIGURES[figure](seed)
+    if args.from_manifest and manifest.get("outputs", [*files]) != [*files]:
+        raise ValueError("manifest outputs differ from this build's")
     manifest = {
         "figure": figure,
         "seed": seed,

@@ -41,9 +41,10 @@ acting set cannot change until someone new is informed, a block of loops
 is evaluated at once; only the first informing loop is applied, and the
 uniforms of the loops after it stay buffered for the next block. Beyond
 a one-loop budget, a graph of n * n <= 2 * BLOCK_UNIFORMS (n <= 128) gives
-each contact the weight in an n x n table that is 0.0 in the columns of
-informed vertices; otherwise a block searches its sorted pair keys. Both
-read equal float64 weights, 0.0 for an informed target: no value changes.
+each contact the weight in an n x n table built from its edges, 0.0 in the
+columns of informed vertices, and builds no CSR; otherwise a block searches
+the CSR's sorted pair keys. Both read equal float64 weights, 0.0 for an
+informed target: no value changes.
 Broadcast gathers only the CSR rows of its acting set, the informed
 vertices that may still have an uninformed neighbour. A vertex leaves it
 once none of its edges is open; the informed set only grows, so none opens
@@ -130,14 +131,9 @@ class DiffusionState:
 
     def mask(self, n: int) -> np.ndarray:
         """Boolean membership array of length n."""
-        return _mask(n, list(self.informed))
-
-
-def _mask(n: int, ids) -> np.ndarray:
-    """Boolean membership array of length n of the vertex ids ``ids``."""
-    mask = np.zeros(n, dtype=bool)
-    mask[_vertex_ids(ids, n)] = True
-    return mask
+        mask = np.zeros(n, dtype=bool)
+        mask[_vertex_ids(list(self.informed), n)] = True
+        return mask
 
 
 def _check_initial(cfg: SimulationConfig, n: int) -> None:
@@ -152,10 +148,13 @@ def _check_initial(cfg: SimulationConfig, n: int) -> None:
 def _initial_mask(g: Graph, cfg: SimulationConfig,
                   rng: np.random.Generator) -> np.ndarray:
     _check_initial(cfg, g.n)
+    mask = np.zeros(g.n, dtype=bool)
     if cfg.initial_vertices is not None:
-        return _mask(g.n, cfg.initial_vertices)
-    return _mask(g.n, rng.choice(g.n, size=cfg.initial_informed,
-                                 replace=False))
+        # a list: numpy reads a tuple index as one index per axis
+        mask[list(cfg.initial_vertices)] = True
+    else:
+        mask[rng.choice(g.n, size=cfg.initial_informed, replace=False)] = True
+    return mask
 
 
 def init_state(g: Graph, cfg: SimulationConfig,
@@ -263,8 +262,13 @@ def _spread_random_contact(g: Graph, mask: np.ndarray, counts: list[int],
                            rng: np.random.Generator) -> None:
     n = g.n
     has_edge = g.degrees() > 0
-    table = g._weight_table(mask) if max_loops > len(counts) and \
-        n * n <= 2 * BLOCK_UNIFORMS else None
+    table = None
+    if max_loops > len(counts) and n * n <= 2 * BLOCK_UNIFORMS:
+        # flat index u * n + v holds what _key_weights returns for that key
+        eu, ev, ew = g.edge_arrays()
+        table = np.zeros((n, n))
+        table[eu, ev] = table[ev, eu] = ew
+        table[:, mask] = 0.0
     # a block uses at most BLOCK_UNIFORMS uniforms, or one loop's 2a <= 2n
     buf = np.empty(max(BLOCK_UNIFORMS, 2 * n))
     pos = end = 0  # buf[pos:end] drawn, not yet consumed

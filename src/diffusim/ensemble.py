@@ -136,9 +136,7 @@ class EnsembleSummary:
 
     def extended(self, horizon: int) -> "EnsembleSummary":
         """Copy with per-loop stats repeated at their terminal values."""
-        if horizon < self.horizon:
-            raise ValueError(
-                f"cannot shrink horizon {self.horizon} to {horizon}")
+        horizon = _count(horizon, "horizon", self.horizon)
         if horizon == self.horizon:
             return self
         pad = horizon - self.horizon

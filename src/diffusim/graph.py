@@ -8,11 +8,13 @@ between concurrent simulation runs.
 Storage is edge-array based with a lazily built CSR adjacency, so
 construction from bulk numpy arrays is cheap and neighbor iteration is
 O(degree). A graph holds only arrays of its own, read-only, each stored
-by ``Graph._hold``. ``Graph._build_adjacency`` picks the CSR fill from the
-graph's own edges: a dense graph of unit weights sets them in an n x n
-bool mask, whose true cells are its pair keys in order, with no sort;
-any other takes one stable sort on the row, which leaves each row
-ascending, since edges are kept in canonical order.
+by ``Graph._hold`` and derived from its edges when first read: degrees
+count edge ends; the CSR, built only for neighbours and pair weights,
+takes their running sum as its row pointers and picks its fill from the
+edges: a dense graph of unit weights sets them in an n x n bool mask,
+whose true cells are its pair keys in order, with no sort; any other
+takes one stable sort on the row, which leaves each row ascending, since
+edges are kept in canonical order.
 ``Graph._gather`` turns a batch of vertices into the CSR positions of all
 their rows at once, with the rows' lengths; breadth-first search,
 clustering and broadcast diffusion expand whole frontiers with it.
@@ -185,9 +187,8 @@ class Graph:
             order = np.argsort(du, kind="stable")
             keys = (du * n + np.concatenate([eu, ev]))[order]
             nbrw = np.concatenate([ew, ew])[order]
-        indptr = keys.searchsorted(np.arange(n + 1) * n)
-        self._hold(_indptr=indptr, _nbr=keys - keys // n * n, _nbrw=nbrw,
-                   _pair_keys=keys, _degrees=np.diff(indptr))
+        self._hold(_indptr=np.r_[0, self.degrees().cumsum()],
+                   _nbr=keys - keys // n * n, _nbrw=nbrw, _pair_keys=keys)
 
     def _reweighted(self, slot_pair: np.ndarray, weights) -> "Graph":
         """This graph with edge i weighted ``weights[i]``, built unchecked;
@@ -228,7 +229,9 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Degree of every vertex, as an int64 array of length n."""
-        self._adj()
+        if self._degrees is None:
+            self._hold(_degrees=np.bincount(self._eu, minlength=self.n)
+                       + np.bincount(self._ev, minlength=self.n))
         return self._degrees
 
     def neighbors(self, v: int) -> np.ndarray:
@@ -273,15 +276,6 @@ class Graph:
         w = self._nbrw[pos]
         w[(pk[pos] != keys) | closed] = 0.0
         return w
-
-    def _weight_table(self, closed: np.ndarray) -> np.ndarray:
-        """A fresh writable n x n array; flat index u * n + v holds what
-        ``_key_weights`` returns for that key, closed where ``closed[v]``."""
-        nbrw = self._adj()[2]
-        table = np.zeros((self.n, self.n))
-        table.ravel()[self._pair_keys] = nbrw
-        table[:, closed] = 0.0
-        return table
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):

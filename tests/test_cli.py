@@ -632,6 +632,22 @@ def test_reproduce_manifest_parameters_not_an_object_exit_1(tmp_path, capsys,
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("change", [
+    lambda names: ["x.csv", *names[1:]],
+    lambda names: names[:1],
+    lambda names: names[::-1],
+    lambda names: ["x.csv"],
+], ids=["renamed", "dropped", "reordered", "replaced"])
+def test_reproduce_manifest_outputs_must_match(tmp_path, capsys, change):
+    def edit(manifest):
+        return {**manifest, "outputs": change(manifest["outputs"]),
+                "version": "0.0.1"}
+    assert reproduce_then_rerun(tmp_path, "power-law", manifest=edit) == 1
+    assert capsys.readouterr().err == (
+        "error: manifest outputs differ from this build's\n")
+    assert not (tmp_path / "b").exists()
+
+
 def without_parameters(manifest):
     return {"figure": manifest["figure"], "seed": manifest["seed"]}
 

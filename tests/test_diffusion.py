@@ -437,10 +437,20 @@ def test_repeated_step_reproduces_run(model, block_uniforms, monkeypatch):
             assert step_counts(g, cfg) == run(g, cfg).counts, (g, seed)
 
 
+def counted_builds(monkeypatch):
+    """A list that gains the vertex count of each CSR built from now on."""
+    builds = []
+    build = Graph._build_adjacency
+    monkeypatch.setattr(Graph, "_build_adjacency",
+                        lambda self: builds.append(self.n) or build(self))
+    return builds
+
+
 def test_random_contact_weight_lookup_by_size_and_budget(monkeypatch):
     # beyond one loop, up to n * n = 2 * BLOCK_UNIFORMS (n = 128), a run
     # reads its weights from a table and searches no pair key; above that,
-    # and for step's one-loop budget, it searches
+    # and for step's one-loop budget, it searches, and builds one CSR
+    builds = counted_builds(monkeypatch)
     searched = []
     key_weights = Graph._key_weights
 
@@ -458,11 +468,48 @@ def test_random_contact_weight_lookup_by_size_and_budget(monkeypatch):
             assert run(g, cfg).counts == \
                 ref_run(g, "random-contact", 2, 50, seed), (n, seed)
             assert bool(searched) != table, (n, seed)
+        assert builds == ([] if table else [n]), n
+        builds.clear()
     g = gen_stochastic(100, seed=1)
     searched.clear()
     step(g, DiffusionState(frozenset({0, 1}), 0), "random-contact",
          np.random.default_rng(0))
-    assert searched
+    assert searched and builds == [100]
+
+
+SMALL_CONTACT_GRAPHS = {
+    "complete": lambda: gen_complete(128),
+    "random": lambda: gen_random(100, 0.5, seed=1),
+    "stochastic": lambda: gen_stochastic(100, seed=2),
+    "scale-free": lambda: gen_scale_free(100, seed=3),
+    # an isolated vertex 5 and zero-weight edges
+    "zeroed": lambda: zeroed(gen_random(60, 0.3, seed=4), 4, 5, 40),
+}
+
+
+@pytest.mark.parametrize("make", SMALL_CONTACT_GRAPHS.values(),
+                         ids=SMALL_CONTACT_GRAPHS.keys())
+def test_small_random_contact_run_builds_no_csr(make, monkeypatch):
+    # beyond one loop, n <= 128 reads only the graph's edges and degrees
+    g = make()
+    builds = counted_builds(monkeypatch)
+    for seed, max_loops in [(0, 2), (1, 50), (2, 1000)]:
+        k = 1 + seed
+        cfg = SimulationConfig("random-contact", k, max_loops, seed=seed)
+        assert run(g, cfg).counts == \
+            ref_run(g, "random-contact", k, max_loops, seed), seed
+    assert builds == [] and g._indptr is None
+
+
+@pytest.mark.parametrize("family, edge_prob, want", [
+    ("random", 0.5, []), ("stochastic", None, [100])])
+def test_contact_ensemble_csr_builds(family, edge_prob, want, monkeypatch):
+    # a stochastic ensemble builds one CSR: its pair pattern's
+    builds = counted_builds(monkeypatch)
+    run_ensemble(EnsembleConfig(
+        SimulationConfig("random-contact", 10, 1000, 0),
+        GeneratorSpec(family, 100, edge_prob, 0), 5))
+    assert builds == want
 
 
 def reweighted(g, seed):

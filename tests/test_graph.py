@@ -196,6 +196,9 @@ def test_construction_rejects_invalid_edges(edges, msg):
 
 
 G3 = Graph(3, [(0, 1, 0.5), (1, 2, 1.0)])
+# horizon 1: broadcast saturates a complete graph in one loop
+SUMMARY1 = run_ensemble(EnsembleConfig(
+    SimulationConfig("broadcast", 1, 5, 0), GeneratorSpec("complete", 3), 2))
 
 
 @pytest.mark.parametrize("bad,call", [
@@ -223,10 +226,13 @@ G3 = Graph(3, [(0, 1, 0.5), (1, 2, 1.0)])
     ("3", lambda v: run_ensemble(EnsembleConfig(
         SimulationConfig("broadcast", 1, 5, 0),
         GeneratorSpec("random", 4, 0.5, 1), v)).mean.tolist()),
+    (2.5, lambda v: SUMMARY1.extended(v).mean.tolist()),
+    ("3", lambda v: SUMMARY1.extended(v).mean.tolist()),
 ], ids=["n", "n-str", "float-edge-array", "initial-vertex", "weight",
         "pair-weights", "degree", "bfs-source", "state-mask", "spec-n",
         "spec-n-str", "initial-informed", "initial-informed-str", "max-loops",
-        "max-loops-str", "replications", "replications-str"])
+        "max-loops-str", "replications", "replications-str", "extended",
+        "extended-str"])
 def test_vertex_ids_must_be_integral(bad, call):
     # a fraction or a string is never truncated or parsed into an id
     with pytest.raises(ValueError, match="must be integers"):
@@ -243,7 +249,9 @@ def test_vertex_ids_must_be_integral(bad, call):
     lambda v: SimulationConfig("broadcast", 1, v, 0).max_loops,
     lambda v: EnsembleConfig(SimulationConfig("broadcast", 1, 5, 0),
                              GeneratorSpec("complete", 3), v).replications,
-], ids=["graph-n", "spec-n", "initial-informed", "max-loops", "replications"])
+    lambda v: SUMMARY1.extended(v).horizon,
+], ids=["graph-n", "spec-n", "initial-informed", "max-loops", "replications",
+        "extended"])
 def test_counts_are_stored_as_int(make):
     for value in (2.0, np.int32(2), np.float64(2.0), np.int64(2)):
         count = make(value)
@@ -258,7 +266,9 @@ def test_counts_are_stored_as_int(make):
     (lambda v: EnsembleConfig(SimulationConfig("broadcast", 1, 5, 0),
                               GeneratorSpec("complete", 3), v),
      "replications"),
-], ids=["graph-n", "spec-n", "initial-informed", "max-loops", "replications"])
+    (lambda v: SUMMARY1.extended(v), "horizon"),
+], ids=["graph-n", "spec-n", "initial-informed", "max-loops", "replications",
+        "extended"])
 @pytest.mark.parametrize("bad,msg", [
     (2.5, "must be integers"), ("3", "must be integers"),
     (None, "must be integers"), ([3], "must be integers"),
@@ -368,6 +378,24 @@ def test_csr_fill_choice_matches_lexsort_reference(make, mask, monkeypatch):
             (indptr, nbr, nbrw, keys, np.diff(indptr))):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("make", [
+    *(make for make, _ in CSR_FILLS.values()),
+    lambda: GeneratorSpec("stochastic", 30, None, 4)._builder(True)(7),
+], ids=[*CSR_FILLS, "stochastic-pattern"])
+def test_degrees_count_edge_ends_without_csr(make):
+    g = make()
+    # a pattern-built graph shares its pattern's CSR from the start
+    fresh = g._indptr is None
+    deg = g.degrees()
+    assert (g._indptr is None) == fresh
+    g._adj()
+    assert g.degrees() is deg
+    assert deg.dtype == np.int64
+    np.testing.assert_array_equal(deg, np.diff(g._indptr))
+    with pytest.raises(ValueError):
+        deg[:1] = 5
 
 
 def test_construction_rejects_nan_weight():
