@@ -12,12 +12,20 @@ round-trip is exact for link matrices and exact up to the two-decimal
 quantization for probability matrices (weights below 0.005 round to 0.00
 and the edge is dropped).
 
+Import reads a text with numpy's C reader (``np.loadtxt``), which for every
+entry it accepts returns the value Python's ``float()`` gives. A text it
+refuses, or reads as a non-square array, goes to a row scan that converts
+each entry with ``float()``: that scan accepts what only ``float()`` does,
+such as ``1_0`` and non-ASCII digits, and otherwise names the first
+non-numeric or wrong-length row.
+
 The JSON dump is ``{"n": <int>, "edges": [[u, v, w], ...]}`` with u < v
 and edges sorted lexicographically.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 
 import numpy as np
@@ -85,9 +93,33 @@ def import_matrix(text: str) -> Graph:
     diagonal is ignored. Every strictly positive off-diagonal entry
     becomes an edge (the upper-triangle value is used as the weight).
     """
+    spaced = text.replace(",", " ")
+    # strip(), not split(): split() would build one str per entry
+    if not spaced.strip():
+        raise MatrixFormatError("empty matrix text")
+    try:
+        m = np.loadtxt(spaced.splitlines(), dtype=np.float64, comments=None,
+                       ndmin=2)
+    except ValueError:
+        m = None
+    if m is None or m.shape[0] != m.shape[1]:
+        m = _scan_rows(spaced)
+    # written so that NaN, which fails every comparison, is out of range
+    bad = ~((m >= 0.0) & (m <= 1.0))
+    with np.errstate(invalid="ignore"):  # inf - inf; such cells are bad
+        asym = np.abs(m - m.T) > SYMMETRY_TOL
+    if bad.any() or asym.any():
+        _raise_first_bad_cell(m, bad, asym)
+    u, v = np.nonzero(np.triu(m, 1) > 0.0)
+    return Graph(len(m), (u, v, m[u, v]))
+
+
+def _scan_rows(spaced: str) -> np.ndarray:
+    """Parse space-separated rows entry by entry with ``float()``; raise the
+    first non-numeric row or the first row of the wrong length."""
     rows = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        parts = line.replace(",", " ").split()
+    for lineno, line in enumerate(spaced.splitlines(), start=1):
+        parts = line.split()
         if not parts:
             continue
         try:
@@ -96,21 +128,11 @@ def import_matrix(text: str) -> Graph:
         except ValueError as exc:
             raise MatrixFormatError(f"row {lineno}: non-numeric entry") from exc
     n = len(rows)
-    if n == 0:
-        raise MatrixFormatError("empty matrix text")
     for i, row in enumerate(rows):
         if row.size != n:
             raise MatrixFormatError(
                 f"row {i}: {row.size} entries, expected {n} (matrix not square)")
-    m = np.stack(rows)
-    # written so that NaN, which fails every comparison, is out of range
-    bad = ~((m >= 0.0) & (m <= 1.0))
-    with np.errstate(invalid="ignore"):  # inf - inf; such cells are bad
-        asym = np.abs(m - m.T) > SYMMETRY_TOL
-    if bad.any() or asym.any():
-        _raise_first_bad_cell(m, bad, asym)
-    u, v = np.nonzero(np.triu(m, 1) > 0.0)
-    return Graph(n, (u, v, m[u, v]))
+    return np.stack(rows)
 
 
 def _raise_first_bad_cell(m: np.ndarray, bad: np.ndarray,
@@ -155,10 +177,17 @@ def graph_to_json(g: Graph) -> str:
 
 def graph_from_json(text: str) -> Graph:
     """Load a graph from the JSON dump format."""
+    # a JSON document holds no reference cycle, so the cyclic collector
+    # would only rescan the edge lists over and over as the parser grows them
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MatrixFormatError(f"invalid JSON graph dump: {exc}") from exc
+    finally:
+        if enabled:
+            gc.enable()
     try:
         return Graph(payload["n"], payload["edges"])
     except (KeyError, TypeError) as exc:

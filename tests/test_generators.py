@@ -13,10 +13,12 @@ from diffusim import (
     GeneratorSpec,
     SimulationConfig,
     degree_histogram,
+    export_link_matrix,
     gen_complete,
     gen_random,
     gen_scale_free,
     gen_stochastic,
+    import_matrix,
     is_connected,
     make_rng,
     matrix_average_convergence,
@@ -300,6 +302,20 @@ def test_random_build_peak_memory(regenerated):
             spec._builder(True)(4)._adj()  # an ensemble graph, with its CSR
         else:
             spec.build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 << 20, peak
+
+
+def test_import_link_matrix_peak_memory():
+    # 250k edges in a 2 MB text, read into an 8 MB float64 matrix that
+    # validation then copies: about 24 MB, and 32 MB if per-row arrays
+    # from the parse were still held
+    text = export_link_matrix(gen_random(1000, 0.5, seed=0))
+    tracemalloc.start()
+    try:
+        import_matrix(text)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import warnings
+from contextlib import suppress
+
 import numpy as np
 import pytest
 
@@ -139,6 +143,15 @@ def test_import_rejects_empty():
         import_matrix("\n\n")
 
 
+@pytest.mark.parametrize("text", ["\n\n", " \t\n", ",,\n"])
+def test_import_rejects_blank_text_without_warning(text):
+    # np.loadtxt warns on input with no data; blank text never reaches it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MatrixFormatError, match="empty matrix text"):
+            import_matrix(text)
+
+
 def test_import_accepts_commas():
     g = import_matrix("0,1\n1,0\n")
     assert g.edge_count == 1 and g.weight(0, 1) == 1.0
@@ -161,6 +174,32 @@ def test_json_rejects_malformed():
         graph_from_json('{"edges": []}')
     with pytest.raises(MatrixFormatError):
         graph_from_json('{"n": 2, "edges": [[0, 0, 1.0]]}')
+
+
+@pytest.fixture
+def gc_state():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("text", [
+    graph_to_json(gen_stochastic(15, seed=6)), "{not json",
+    '{"n": 2, "edges": [[0, 0, 1.0]]}'])
+def test_json_load_leaves_collector_as_found(gc_state, enabled, text):
+    # the collector is paused for the parse and left as found, whether
+    # the dump loads, is not JSON or is refused by Graph
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    with suppress(MatrixFormatError):
+        graph_from_json(text)
+    assert gc.isenabled() is enabled
 
 
 def test_json_rejects_nan_weight():

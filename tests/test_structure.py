@@ -18,6 +18,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import diffusim.analysis as analysis
+import diffusim.matrixio as matrixio
 from diffusim import (
     Graph,
     MatrixFormatError,
@@ -375,3 +376,44 @@ def import_outcome(fn, text):
 def test_import_matrix_matches_reference(text):
     assert import_outcome(import_matrix, text) == \
         import_outcome(ref_import_matrix, text)
+
+
+SCANNED_TEXTS = [
+    "0 1_0\n1_0 0\n",              # float() reads 10.0, loadtxt refuses
+    "0 \uff11\n\uff11 0\n",        # a fullwidth 1: float() only
+    "0 1\n1\n",                    # ragged
+    "0 x\nx 0\n",                  # non-numeric
+    "0 1 0\n1 0 0\n",              # 2 x 3
+]
+
+
+def test_import_matrix_scans_rows_only_where_loadtxt_cannot(monkeypatch):
+    # the row scan runs on exactly the texts numpy's reader refuses or
+    # reads as non-square; either way the outcome is the oracle's
+    scans = []
+    scan = matrixio._scan_rows
+
+    def spy(spaced):
+        scans.append(spaced)
+        return scan(spaced)
+
+    monkeypatch.setattr(matrixio, "_scan_rows", spy)
+    read = ["0,1,1\n1,0,0\n1,0,0\n"]
+    for family in FAMILIES:
+        for n in (1, 2, 50):
+            g = FAMILIES[family](n, 0)
+            read.append(export_probability_matrix(g))
+            if family != "stochastic":  # only unit weights have a link matrix
+                read.append(export_link_matrix(g))
+    for text in read:
+        assert import_outcome(import_matrix, text) == \
+            import_outcome(ref_import_matrix, text)
+    assert scans == []
+    for text in SCANNED_TEXTS:
+        assert import_outcome(import_matrix, text) == \
+            import_outcome(ref_import_matrix, text)
+        assert len(scans) == 1
+        scans.clear()
+    with pytest.raises(MatrixFormatError) as exc:
+        import_matrix(SCANNED_TEXTS[-1])
+    assert str(exc.value) == "row 0: 3 entries, expected 2 (matrix not square)"
