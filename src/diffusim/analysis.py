@@ -7,6 +7,7 @@ every stored edge counts as present.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -65,20 +66,18 @@ class PowerLawFit:
 def fit_power_law(hist: Mapping[int, float]) -> PowerLawFit:
     """Least-squares line through (log k, log count(k)).
 
+    The degrees k are the histogram's keys, each fitted at its own value.
     Only degrees k >= 1 with strictly positive counts participate; at
     least two such points are required. The slope is negative for
     heavy-tailed degree distributions.
     """
-    ks = np.array(sorted(k for k, c in hist.items() if k >= 1 and c > 0),
-                  dtype=np.float64)
-    if ks.size < 2:
-        raise ValueError(
-            f"power-law fit needs >= 2 positive-count degrees, got {ks.size}")
-    cs = np.array([hist[int(k)] for k in ks], dtype=np.float64)
-    x = np.log(ks)
-    y = np.log(cs)
-    slope, intercept = np.polyfit(x, y, 1)
-    return PowerLawFit(float(slope), float(intercept), int(ks.size))
+    points = np.array(sorted((k, c) for k, c in hist.items()
+                             if k >= 1 and c > 0), dtype=np.float64)
+    if len(points) < 2:
+        raise ValueError("power-law fit needs >= 2 positive-count degrees, "
+                         f"got {len(points)}")
+    slope, intercept = np.polyfit(*np.log(points).T, 1)
+    return PowerLawFit(float(slope), float(intercept), len(points))
 
 
 def clustering_coefficient(g: Graph) -> float:
@@ -144,8 +143,7 @@ def average_degree_histograms(
     hists = list(hists)
     if not hists:
         raise ValueError("need at least one histogram")
-    acc: dict[int, float] = {}
+    acc = Counter()
     for h in hists:
-        for k, c in h.items():
-            acc[k] = acc.get(k, 0.0) + c
+        acc.update(h)
     return {k: acc[k] / len(hists) for k in sorted(acc)}

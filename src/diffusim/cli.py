@@ -132,7 +132,7 @@ def _config_defaults(path: str, parser) -> dict:
     read by its own flag's ``type`` and ``choices``."""
     cp = configparser.ConfigParser()
     try:
-        if not cp.read(path):
+        if not cp.read(path, encoding="utf-8"):
             raise OSError(f"config file not found: {path}")
     except configparser.Error as exc:
         raise ValueError(f"malformed config file: {exc}") from exc

@@ -24,6 +24,7 @@ scale-free growth, the interval therefore depends on how numpy implements
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -136,18 +137,12 @@ class EnsembleSummary:
 
     def extended(self, horizon: int) -> "EnsembleSummary":
         """Copy with per-loop stats repeated at their terminal values."""
-        horizon = _count(horizon, "horizon", self.horizon)
-        if horizon == self.horizon:
+        pad = _count(horizon, "horizon", self.horizon) - self.horizon
+        if not pad:
             return self
-        pad = horizon - self.horizon
-
-        def ext(a: np.ndarray) -> np.ndarray:
-            return np.concatenate([a, np.full(pad, a[-1], dtype=a.dtype)])
-
-        return EnsembleSummary(
-            self.n, self.replications, ext(self.mean), ext(self.sd),
-            ext(self.p10), ext(self.p50), ext(self.p90),
-            self.saturation, self.threshold)
+        return replace(self, **{
+            name: np.pad(getattr(self, name), (0, pad), "edge")
+            for name in ("mean", "sd", "p10", "p50", "p90")})
 
     def to_csv(self) -> str:
         rows = zip(range(self.mean.size), self.mean.tolist(), self.sd.tolist(),
@@ -168,17 +163,16 @@ class EnsembleSummary:
 
 def _aggregate(n: int, trajectories: list[list[int]]) -> EnsembleSummary:
     reps = len(trajectories)
-    horizon = max(len(t) for t in trajectories) - 1
-    arr = np.empty((reps, horizon + 1), dtype=np.int64)
-    for i, t in enumerate(trajectories):
-        arr[i, :len(t)] = t
-        arr[i, len(t):] = t[-1]
+    lengths = np.fromiter(map(len, trajectories), np.int64, reps)
+    flat = np.fromiter(itertools.chain.from_iterable(trajectories), np.int64,
+                       int(lengths.sum()))
+    # row i, loop j reads flat[start_i + min(j, len_i - 1)]
+    loops = np.minimum(np.arange(lengths.max()), lengths[:, None] - 1)
+    arr = flat[(np.cumsum(lengths) - lengths)[:, None] + loops]
 
-    sums = arr.sum(axis=0)
     sumsq = (arr * arr).sum(axis=0)
-    mean = sums / reps
-    var = np.maximum(sumsq / reps - mean * mean, 0.0)
-    sd = np.sqrt(var)
+    mean = arr.sum(axis=0) / reps
+    sd = np.sqrt(np.maximum(sumsq / reps - mean * mean, 0.0))
     srt = np.sort(arr, axis=0)
 
     sat_times = _first_loops(arr == n)

@@ -88,6 +88,14 @@ def test_fit_skips_zero_counts_and_degree_zero():
     assert fit.slope == pytest.approx(-2.0, abs=1e-12)
 
 
+def test_fit_reads_non_integral_degrees_at_their_own_value():
+    fit = fit_power_law({1.5: 2, 2: 1, 3: 1})
+    assert fit.points_used == 3
+    slope, intercept = np.polyfit(np.log([1.5, 2.0, 3.0]),
+                                  np.log([2.0, 1.0, 1.0]), 1)
+    assert (fit.slope, fit.intercept) == (slope, intercept)
+
+
 def test_fit_scale_free_ensemble_slope_band():
     hists = [degree_histogram(gen_scale_free(1000, seed=s))
              for s in range(60)]
@@ -186,3 +194,27 @@ def test_average_degree_histograms():
     assert avg == {1: 3.0, 2: 0.5}
     with pytest.raises(ValueError):
         average_degree_histograms([])
+
+
+def reference_average(hists):
+    """The parent's accumulation: each key's counts added in turn to 0.0."""
+    acc = {}
+    for h in hists:
+        for k, c in h.items():
+            acc[k] = acc.get(k, 0.0) + c
+    return {k: acc[k] / len(hists) for k in sorted(acc)}
+
+
+@pytest.mark.parametrize("hists", [
+    [{1: 2, 2: 1}, {1: 4}],
+    [{1: 0.1, 2: 0.7}, {1: 0.2, 3: 1e16}, {1: 3, 3: 1.0, 4: 0.3}],
+    [{2: 5}, {1: 3, 7: 0.1}, {9: 1e-300}],          # disjoint keys
+    [{3: 0.1, 1: 0.2}, {}, {1: 0.7, 3: 0.3, 2: 1}],
+    [{k: 1 / (k + 1) for k in range(50)} for _ in range(7)],
+])
+def test_average_degree_histograms_matches_accumulation_loop(hists):
+    got = average_degree_histograms(hists)
+    want = reference_average(hists)
+    assert list(got) == list(want)
+    assert [(type(v), v.hex()) for v in got.values()] == \
+        [(type(v), v.hex()) for v in want.values()]

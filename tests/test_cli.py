@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import diffusim
 import diffusim.cli as cli
 from diffusim.cli import main
 
@@ -852,6 +855,24 @@ def test_simulate_missing_config_exit_1(tmp_path, capsys):
                     "--outdir", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config file not found")
+
+
+def test_simulate_config_is_read_as_utf8_in_any_locale(tmp_path):
+    # under the C locale with UTF-8 mode off, Python's default text encoding
+    # is ASCII; a config file is UTF-8 like every other text the CLI reads
+    cfg = tmp_path / "utf8.ini"
+    cfg.write_text("# caf\u00e9 run\n[generator]\nfamily = complete\nn = 5\n"
+                   "[simulation]\nmodel = broadcast\ninitial = 1\n"
+                   "[output]\nprefix = utf8\n", encoding="utf-8")
+    src = str(Path(diffusim.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "LC_ALL": "C", "PYTHONUTF8": "0"}
+    out = subprocess.run(
+        [sys.executable, "-m", "diffusim", "simulate", "--config", str(cfg),
+         "--outdir", str(tmp_path / "out")],
+        env=env, capture_output=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert (tmp_path / "out" / "utf8.trajectory.csv").exists()
 
 
 def test_analyze_out_ignores_outdir_env(tmp_path, monkeypatch, capsys):

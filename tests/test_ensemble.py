@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diffusim import (
     EnsembleConfig,
@@ -17,7 +20,14 @@ from diffusim import (
     run_ensemble,
 )
 from diffusim import ensemble
-from diffusim.ensemble import _aggregate, _bootstrap_mean_diff_ci
+from diffusim.ensemble import (
+    EnsembleSummary,
+    SaturationStats,
+    _aggregate,
+    _bootstrap_mean_diff_ci,
+    _first_loops,
+    _nearest_rank,
+)
 
 
 def make_cfg(family="random", n=30, initial=3, reps=20, seed=9,
@@ -124,6 +134,85 @@ def test_extended_repeats_last_row():
     with pytest.raises(ValueError):
         e.extended(1)
     assert s.extended(s.horizon) is s
+
+
+def reference_aggregate(n, trajectories):
+    """The per-row padding loop: each trajectory written into its row,
+    then held at its last count to the longest horizon."""
+    reps = len(trajectories)
+    horizon = max(len(t) for t in trajectories) - 1
+    arr = np.empty((reps, horizon + 1), dtype=np.int64)
+    for i, t in enumerate(trajectories):
+        arr[i, :len(t)] = t
+        arr[i, len(t):] = t[-1]
+    sums = arr.sum(axis=0)
+    sumsq = (arr * arr).sum(axis=0)
+    mean = sums / reps
+    var = np.maximum(sumsq / reps - mean * mean, 0.0)
+    sd = np.sqrt(var)
+    srt = np.sort(arr, axis=0)
+    thr = math.ceil(ensemble.THRESHOLD_FRACTION * n)
+    return EnsembleSummary(
+        n, reps, mean, sd, _nearest_rank(srt, 10), _nearest_rank(srt, 50),
+        _nearest_rank(srt, 90),
+        SaturationStats.from_times(_first_loops(arr == n)),
+        SaturationStats.from_times(_first_loops(arr >= thr)))
+
+
+def reference_extended(s, horizon):
+    """Each per-loop array concatenated with copies of its last value."""
+    def ext(a):
+        return np.concatenate(
+            [a, np.full(horizon - s.horizon, a[-1], dtype=a.dtype)])
+    return replace(s, mean=ext(s.mean), sd=ext(s.sd), p10=ext(s.p10),
+                   p50=ext(s.p50), p90=ext(s.p90))
+
+
+def assert_same_summary(got, want):
+    for name in ("mean", "sd", "p10", "p50", "p90"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    for name in ("saturation", "threshold"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.to_json_dict() == b.to_json_dict(), name
+        assert a.times.dtype == b.times.dtype, name
+        assert a.times.tolist() == b.times.tolist(), name
+    assert (got.n, got.replications) == (want.n, want.replications)
+    assert got.to_csv() == want.to_csv()
+    assert got.to_json_dict() == want.to_json_dict()
+
+
+def ragged_trajectories(max_reps=40, max_len=30):
+    return st.integers(1, 50).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(0, n), min_size=1, max_size=max_len),
+                 min_size=1, max_size=max_reps)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=ragged_trajectories())
+@example(case=(10, [[2, 5, 10]]))                          # one replication
+@example(case=(10, [[2, 5, 10], [3, 9, 9], [1, 1, 1]]))    # equal lengths
+@example(case=(10, [[10], [3], [9]]))                      # length 1 only
+@example(case=(10, [[4], [2, 4, 9, 10], [7]]))              # length 1, ragged
+def test_aggregate_matches_padding_loop(case):
+    n, trajectories = case
+    assert_same_summary(_aggregate(n, trajectories),
+                        reference_aggregate(n, trajectories))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=ragged_trajectories(max_reps=10, max_len=10),
+       pad=st.integers(1, 20))
+@example(case=(10, [[2]]), pad=1)
+def test_extended_matches_concatenation(case, pad):
+    s = _aggregate(*case)
+    got = s.extended(s.horizon + pad)
+    assert [a.dtype for a in (got.mean, got.sd)] == [np.float64] * 2
+    assert [a.dtype for a in (got.p10, got.p50, got.p90)] == [np.int64] * 3
+    assert got.saturation is s.saturation and got.threshold is s.threshold
+    assert_same_summary(got, reference_extended(s, s.horizon + pad))
 
 
 def test_fixed_graph_mode_reuses_generator_seed():
